@@ -14,15 +14,13 @@ Model file format (magic ``CGE1``, version 1):
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import nn
 from .channel import (ChannelRealization, PilotPattern, apply_channel,
-                      gen_channel, insert_pilots, nmse)
+                      gen_channel, insert_pilots, nmse, read_framed, write_framed)
 from .errors import FormatError, ShapeError, TrainingError
 
 _CGE_MAGIC = b"CGE1"
@@ -299,20 +297,14 @@ def _layer_spec(p: nn.LayerParams) -> dict:
 
 
 def save_model(model: CganModel, path) -> None:
-    header = json.dumps(
-        {"rows": model.rows, "cols": model.cols, "hyper": asdict(model.hyper),
-         "history": asdict(model.history),
-         "generator": [_layer_spec(p) for p in model.generator.layers],
-         "discriminator": [_layer_spec(p) for p in model.discriminator.layers]},
-        sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CGE_MAGIC)
-        fh.write(bytes([_CGE_VERSION]))
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for p in model.generator.layers + model.discriminator.layers:
-            fh.write(np.ascontiguousarray(p.weights, dtype="<f4").tobytes())
-            fh.write(np.ascontiguousarray(p.bias, dtype="<f4").tobytes())
+    header = {"rows": model.rows, "cols": model.cols, "hyper": asdict(model.hyper),
+              "history": asdict(model.history),
+              "generator": [_layer_spec(p) for p in model.generator.layers],
+              "discriminator": [_layer_spec(p) for p in model.discriminator.layers]}
+    write_framed(path, _CGE_MAGIC, _CGE_VERSION, header,
+                 (np.ascontiguousarray(a, dtype="<f4").tobytes()
+                  for p in model.generator.layers + model.discriminator.layers
+                  for a in (p.weights, p.bias)))
 
 
 def _read_layers(specs, body: bytes, offset: int):
@@ -337,26 +329,15 @@ def _read_layers(specs, body: bytes, offset: int):
 
 
 def load_model(path) -> CganModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 9 or blob[:4] != _CGE_MAGIC:
-        raise FormatError(f"{path}: not a CGE model file (bad magic)")
-    if blob[4] != _CGE_VERSION:
-        raise FormatError(f"{path}: unsupported model version {blob[4]} "
-                          f"(expected {_CGE_VERSION})")
-    (hlen,) = struct.unpack("<I", blob[5:9])
-    if len(blob) < 9 + hlen:
-        raise FormatError(f"{path}: truncated header")
+    header, body = read_framed(path, _CGE_MAGIC, _CGE_VERSION, "CGE model")
     try:
-        header = json.loads(blob[9:9 + hlen].decode("utf-8"))
         rows, cols = int(header["rows"]), int(header["cols"])
         hyper = TrainConfig(**header["hyper"])
         history = TrainHistory(**header["history"])
         gen_specs = header["generator"]
         disc_specs = header["discriminator"]
     except (ValueError, KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: malformed model header ({exc})") from exc
-    body = blob[9 + hlen:]
+        raise FormatError(f"{path}: malformed CGE model header ({exc})") from exc
     gen_layers, offset = _read_layers(gen_specs, body, 0)
     disc_layers, offset = _read_layers(disc_specs, body, offset)
     if offset != len(body):

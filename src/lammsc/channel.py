@@ -201,6 +201,38 @@ def nmse(est: np.ndarray, truth: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# framed files: magic, version byte, uint32 header length, JSON header, body
+
+def write_framed(path, magic: bytes, version: int, header: dict, chunks) -> None:
+    """Write one framed file; ``chunks`` are the body's byte strings in order."""
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack("<BI", version, len(blob)))
+        fh.write(blob)
+        for chunk in chunks:
+            fh.write(chunk)
+
+
+def read_framed(path, magic: bytes, version: int, kind: str) -> tuple[dict, bytes]:
+    """Check the frame of a ``kind`` file; return its parsed header and body."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if len(blob) < 9 or blob[:4] != magic:
+        raise FormatError(f"{path}: not a {kind} file (bad magic)")
+    if blob[4] != version:
+        raise FormatError(f"{path}: unsupported {kind} version {blob[4]} "
+                          f"(expected {version})")
+    (hlen,) = struct.unpack("<I", blob[5:9])
+    if len(blob) < 9 + hlen:
+        raise FormatError(f"{path}: truncated header")
+    try:
+        header = json.loads(blob[9:9 + hlen].decode("utf-8"))
+    except ValueError as exc:
+        raise FormatError(f"{path}: malformed {kind} header ({exc})") from exc
+    return header, blob[9 + hlen:]
+
+
+# ---------------------------------------------------------------------------
 # dataset persistence
 
 def save_channel_dataset(path, realizations: list[ChannelRealization]) -> None:
@@ -211,43 +243,25 @@ def save_channel_dataset(path, realizations: list[ChannelRealization]) -> None:
         if (r.rows, r.cols, r.sigma_f, r.sigma_t) != (first.rows, first.cols,
                                                       first.sigma_f, first.sigma_t):
             raise ValueError("all realizations in a dataset must share parameters")
-    header = json.dumps(
-        {"rows": first.rows, "cols": first.cols, "sigma_f": first.sigma_f,
-         "sigma_t": first.sigma_t, "count": len(realizations),
-         "seeds": [r.seed for r in realizations]},
-        sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_LMCH_MAGIC)
-        fh.write(bytes([_LMCH_VERSION]))
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for r in realizations:
-            fh.write(np.ascontiguousarray(r.gains, dtype="<c8").tobytes())
+    header = {"rows": first.rows, "cols": first.cols, "sigma_f": first.sigma_f,
+              "sigma_t": first.sigma_t, "count": len(realizations),
+              "seeds": [r.seed for r in realizations]}
+    write_framed(path, _LMCH_MAGIC, _LMCH_VERSION, header,
+                 (np.ascontiguousarray(r.gains, dtype="<c8").tobytes()
+                  for r in realizations))
 
 
 def load_channel_dataset(path) -> list[ChannelRealization]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 9 or blob[:4] != _LMCH_MAGIC:
-        raise FormatError(f"{path}: not a channel dataset (bad magic)")
-    version = blob[4]
-    if version != _LMCH_VERSION:
-        raise FormatError(f"{path}: unsupported dataset version {version} "
-                          f"(expected {_LMCH_VERSION})")
-    (hlen,) = struct.unpack("<I", blob[5:9])
-    if len(blob) < 9 + hlen:
-        raise FormatError(f"{path}: truncated header")
+    header, body = read_framed(path, _LMCH_MAGIC, _LMCH_VERSION, "channel dataset")
     try:
-        header = json.loads(blob[9:9 + hlen].decode("utf-8"))
         rows, cols = int(header["rows"]), int(header["cols"])
         count = int(header["count"])
         seeds = list(header["seeds"])
         sigma_f, sigma_t = float(header["sigma_f"]), float(header["sigma_t"])
     except (ValueError, KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: malformed header ({exc})") from exc
+        raise FormatError(f"{path}: malformed channel dataset header ({exc})") from exc
     if len(seeds) != count:
         raise FormatError(f"{path}: header lists {len(seeds)} seeds for {count} grids")
-    body = blob[9 + hlen:]
     grid_bytes = rows * cols * 8
     if len(body) != count * grid_bytes:
         raise FormatError(f"{path}: expected {count * grid_bytes} data bytes, "

@@ -38,18 +38,11 @@ def _parse_str_list(value: str) -> list[str]:
     return [part.strip() for part in value.split(",") if part.strip()]
 
 
-_CONFIG_FLAGS = [
-    ("rows", int), ("cols", int), ("pilot_df", int), ("pilot_dt", int),
-    ("pilot_seed", int), ("sigma_f", float), ("sigma_t", float),
-    ("snr_db", _parse_snr_list), ("repetition", int), ("estimator", str),
-    ("estimators", _parse_str_list), ("equalizer", str), ("mma_backend", str),
-    ("lkb_backend", str), ("embed_backend", str), ("lkb_enabled", _parse_bool),
-    ("mma_endpoint", str), ("lkb_endpoint", str), ("embed_endpoint", str),
-    ("timeout_ms", int), ("retries", int), ("master_seed", int),
-    ("threshold", float), ("sender", str), ("receiver", str),
-    ("prompt_base_path", str), ("model_path", str), ("corpus_path", str),
-    ("ideal_channel", _parse_bool),
-]
+# flag parser per PipelineConfig field annotation
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
+            "list[float]": _parse_snr_list, "list[str] | None": _parse_str_list}
+_CONFIG_FLAGS = [(f.name, _PARSERS[f.type])
+                 for f in dataclasses.fields(pipeline.PipelineConfig)]
 
 
 def _add_config_flags(sub: argparse.ArgumentParser):
@@ -114,22 +107,17 @@ def _cmd_eval_cge(args) -> int:
     model = cge.load_model(args.model or cfg.model_path)
     pattern = channel.make_pilot_pattern(cfg.rows, cfg.cols, cfg.pilot_df,
                                          cfg.pilot_dt, cfg.pilot_seed)
-    frame = channel.insert_pilots(np.zeros((cfg.rows, cfg.cols), np.complex64),
-                                  pattern)
     lines = ["snr_db,cge_nmse,ls_nmse,n"]
     for snr in cfg.snr_db:
-        rng = np.random.default_rng(pipeline.derive_seed(args.seed,
-                                                         pipeline._snr_key(snr)))
-        cge_scores, ls_scores = [], []
-        for _ in range(args.count):
-            h = channel.gen_channel(int(rng.integers(2 ** 63)), cfg.rows, cfg.cols,
-                                    cfg.sigma_f, cfg.sigma_t)
-            y = channel.apply_channel(frame, h, snr, int(rng.integers(2 ** 63)))
-            cge_scores.append(channel.nmse(
-                cge.estimate(model, cge.make_condition(y, pattern)), h.gains))
-            ls_scores.append(channel.nmse(channel.ls_estimate(y, pattern), h.gains))
-        lines.append(f"{snr:.6g},{np.mean(cge_scores):.6g},"
-                     f"{np.mean(ls_scores):.6g},{args.count}")
+        pairs = cge.make_training_set(
+            args.count, cfg.rows, cfg.cols, cfg.sigma_f, cfg.sigma_t, pattern, snr,
+            seed=pipeline.derive_seed(args.seed, pipeline._snr_key(snr)))
+        # LS reads only the pilot cells, which the condition planes keep
+        ls_nmse = np.mean([channel.nmse(channel.ls_estimate(cond[0] + 1j * cond[1],
+                                                            pattern), gains)
+                           for cond, gains in pairs])
+        lines.append(f"{snr:.6g},{cge.evaluate_nmse(model, pairs):.6g},"
+                     f"{ls_nmse:.6g},{args.count}")
     table = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

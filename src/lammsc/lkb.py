@@ -15,6 +15,7 @@ import csv
 import re
 from dataclasses import dataclass, field
 
+from .errors import ProtocolError
 from .wire import Endpoint, post_json, require_field
 
 _PLACEHOLDER = ""
@@ -276,5 +277,5 @@ def personalize_remote(text: str, profile: Profile, direction: str,
                      {"prompt": build_prompt(profile, text, direction)})
     value = require_field(resp, "text", ep.base_url)
     if not isinstance(value, str):
-        raise TypeError(f"{ep.base_url}: 'text' field must be a string")
+        raise ProtocolError(f"{ep.base_url}: 'text' field must be a string")
     return value

@@ -28,8 +28,6 @@ from .wire import Endpoint, post_json, require_field
 
 MODALITIES = ("image", "audio", "video")
 
-ModalityEndpoint = Endpoint
-
 _HAS_HEADS = frozenset({"hair", "eyes", "beard", "smile", "freckles"})
 _MAIN_GARMENTS = frozenset({"suit", "dress", "coat", "jacket", "shirt", "sweater",
                             "gown", "uniform"})

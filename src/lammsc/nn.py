@@ -347,6 +347,8 @@ class Sequential:
 
     ``forward(x, record=True)`` stores the per-layer inputs needed by
     ``backward``; a backward call without a recorded forward is rejected.
+    A ``forward`` without ``record`` leaves the stored inputs alone, so
+    inference may run between a recorded forward and its backward.
     """
 
     def __init__(self, layers):
@@ -354,13 +356,13 @@ class Sequential:
         self._caches = None
 
     def forward(self, x: np.ndarray, record: bool = False) -> np.ndarray:
-        caches = [] if record else None
+        caches = []
         y = np.asarray(x, dtype=np.float32)
         for p in self.layers:
             y, cache = _layer_forward(p, y, record)
-            if record:
-                caches.append(cache)
-        self._caches = caches
+            caches.append(cache)
+        if record:
+            self._caches = caches
         return y
 
     def backward(self, dy: np.ndarray):

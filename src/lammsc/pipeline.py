@@ -15,14 +15,14 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import cge, codec, semeval
 from .channel import (NO_NOISE, apply_channel, gen_channel, ls_estimate,
                       make_pilot_pattern, nmse)
-from .corpus import load_corpus, save_corpus, synthetic_corpus  # noqa: F401
-from .errors import CaptionParseError, ConfigError, LamMscError
+from .errors import ConfigError, LamMscError
 from .lkb import (Profile, default_prompt_base, load_prompt_base,
                   personalize_extract, personalize_recover, personalize_remote)
 from .mma import ScenePayload, scene_to_text, text_to_scene, transform_remote
@@ -42,10 +42,10 @@ class PipelineConfig:
     pilot_seed: int = 97
     sigma_f: float = 4.0
     sigma_t: float = 4.0
-    snr_db: list = field(default_factory=lambda: [10.0])
+    snr_db: list[float] = field(default_factory=lambda: [10.0])
     repetition: int = 1
     estimator: str = "perfect"
-    estimators: list | None = None  # sweep arms; None means [estimator]
+    estimators: list[str] | None = None  # sweep arms; None means [estimator]
     equalizer: str = "zf"
     mma_backend: str = "mock"
     lkb_backend: str = "mock"
@@ -73,6 +73,12 @@ class PipelineConfig:
             raise ConfigError("snr_db list must be non-empty")
         if self.repetition < 1:
             raise ConfigError("repetition must be >= 1")
+        if self.sigma_f < 0 or self.sigma_t < 0:
+            raise ConfigError("smoothing stds sigma_f and sigma_t must be >= 0")
+        if self.timeout_ms <= 0:
+            raise ConfigError(f"timeout_ms must be positive, got {self.timeout_ms}")
+        if self.retries < 0:
+            raise ConfigError(f"retries must be non-negative, got {self.retries}")
         if not -1.0 <= self.threshold <= 1.0:
             raise ConfigError("threshold must lie in [-1, 1]")
         if self.equalizer not in ("zf", "mmse"):
@@ -183,47 +189,50 @@ def _snr_key(snr_db: float) -> str:
 # ---------------------------------------------------------------------------
 # stage backends
 
-def _endpoint(cfg: PipelineConfig, stage: str) -> Endpoint:
-    url = getattr(cfg, f"{stage}_endpoint")
-    return Endpoint(url, cfg.timeout_ms, cfg.retries)
+def _passthrough(text: str) -> str:
+    return text
 
 
-def _to_caption(payload, cfg: PipelineConfig) -> str:
-    if isinstance(payload, str):
-        return payload
+def _bind_stages(cfg: PipelineConfig, sender: Profile, receiver: Profile):
+    """Pick every text stage's backend once, building each endpoint once.
+
+    Returns (caption, to_payload, extract, recover, embed) callables. They
+    look up the stage functions through this module's globals when bound,
+    so a caller that rebinds those globals still sees every stage call.
+    """
+    endpoint = partial(Endpoint, timeout_ms=cfg.timeout_ms, retries=cfg.retries)
     if cfg.mma_backend == "remote":
-        return transform_remote(payload, "text", _endpoint(cfg, "mma"))
-    return scene_to_text(payload)
-
-
-def _to_payload(text: str, modality: str, cfg: PipelineConfig):
-    if cfg.mma_backend == "remote":
-        return transform_remote(text, modality, _endpoint(cfg, "mma"))
-    return text_to_scene(text, modality)
-
-
-def _extract(text: str, sender: Profile, receiver: Profile,
-             cfg: PipelineConfig) -> str:
+        mma_ep = endpoint(cfg.mma_endpoint)
+        caption = partial(transform_remote, target_modality="text", ep=mma_ep)
+        to_payload = partial(transform_remote, ep=mma_ep)
+    else:
+        caption, to_payload = scene_to_text, text_to_scene
     if not cfg.lkb_enabled:
-        return text
-    if cfg.lkb_backend == "remote":
-        return personalize_remote(text, sender, "extract", _endpoint(cfg, "lkb"))
-    return personalize_extract(text, sender, receiver)
-
-
-def _recover(text: str, receiver: Profile, sender_name: str,
-             cfg: PipelineConfig) -> str:
-    if not cfg.lkb_enabled:
-        return text
-    if cfg.lkb_backend == "remote":
-        return personalize_remote(text, receiver, "recover", _endpoint(cfg, "lkb"))
-    return personalize_recover(text, receiver, sender_name)
-
-
-def _embed(text: str, cfg: PipelineConfig) -> semeval.EmbeddingVector:
+        extract = recover = _passthrough
+    elif cfg.lkb_backend == "remote":
+        lkb_ep = endpoint(cfg.lkb_endpoint)
+        extract = partial(personalize_remote, profile=sender, direction="extract",
+                          ep=lkb_ep)
+        recover = partial(personalize_remote, profile=receiver, direction="recover",
+                          ep=lkb_ep)
+    else:
+        extract = partial(personalize_extract, sender=sender, receiver=receiver)
+        recover = partial(personalize_recover, receiver=receiver,
+                          sender_name=sender.name)
     if cfg.embed_backend == "remote":
-        return semeval.embed_remote(text, _endpoint(cfg, "embed"))
-    return semeval.embed(text)
+        embed = partial(semeval.embed_remote, ep=endpoint(cfg.embed_endpoint))
+    else:
+        embed = semeval.embed
+    return caption, to_payload, extract, recover, embed
+
+
+def _load_model(cfg: PipelineConfig) -> cge.CganModel:
+    """Load the configured CGE model and check it covers the config's grid."""
+    model = cge.load_model(cfg.model_path)
+    if (model.rows, model.cols) != (cfg.rows, cfg.cols):
+        raise ConfigError(f"model {cfg.model_path} is for a {model.rows}x"
+                          f"{model.cols} grid, config grid is {cfg.rows}x{cfg.cols}")
+    return model
 
 
 def load_profiles(cfg: PipelineConfig) -> tuple[Profile, Profile]:
@@ -262,7 +271,9 @@ def run_pipeline(payload, cfg: PipelineConfig, sender: Profile, receiver: Profil
     pattern = pattern or make_pilot_pattern(cfg.rows, cfg.cols, cfg.pilot_df,
                                             cfg.pilot_dt, cfg.pilot_seed)
     if estimator == "cge" and model is None:
-        model = cge.load_model(cfg.model_path)
+        model = _load_model(cfg)
+    caption, to_payload, extract, recover, embed = _bind_stages(cfg, sender,
+                                                                receiver)
 
     record = TransmissionRecord(input_payload=payload, snr_db=snr_db,
                                 estimator=estimator, seed=seed)
@@ -280,16 +291,15 @@ def run_pipeline(payload, cfg: PipelineConfig, sender: Profile, receiver: Profil
         finally:
             timings[stage] = timings.get(stage, 0.0) + time.perf_counter() - start
 
-    record.caption = attempt("modal-transform",
-                             lambda: _to_caption(payload, cfg), "")
+    record.caption = attempt(
+        "modal-transform",
+        lambda: payload if isinstance(payload, str) else caption(payload), "")
     record.semantics = attempt("personalize-extract",
-                               lambda: _extract(record.caption, sender, receiver,
-                                                cfg), "")
+                               lambda: extract(record.caption), "")
     if not record.semantics:
         record.flags.append("empty-semantics")
     record.reference_text = attempt("reference",
-                                    lambda: _recover(record.semantics, receiver,
-                                                     sender.name, cfg),
+                                    lambda: recover(record.semantics),
                                     record.semantics)
 
     def transmit() -> str:
@@ -327,17 +337,15 @@ def run_pipeline(payload, cfg: PipelineConfig, sender: Profile, receiver: Profil
 
     record.received_text = attempt("transmit", transmit, "")
     record.recovered_text = attempt("personalize-recover",
-                                    lambda: _recover(record.received_text,
-                                                     receiver, sender.name, cfg),
+                                    lambda: recover(record.received_text),
                                     record.received_text)
     modality = payload.modality if isinstance(payload, ScenePayload) else "image"
     record.recovered_payload = attempt(
-        "modal-recovery",
-        lambda: _to_payload(record.recovered_text, modality, cfg), None)
+        "modal-recovery", lambda: to_payload(record.recovered_text, modality), None)
     record.cosine = attempt(
         "scoring",
-        lambda: semeval.cosine(_embed(record.reference_text, cfg),
-                               _embed(record.recovered_text, cfg)), 0.0)
+        lambda: semeval.cosine(embed(record.reference_text),
+                               embed(record.recovered_text)), 0.0)
     record.correct = record.cosine > cfg.threshold
     return record
 
@@ -355,7 +363,7 @@ def sweep(cfg: PipelineConfig, messages) -> SweepReport:
     pattern = make_pilot_pattern(cfg.rows, cfg.cols, cfg.pilot_df, cfg.pilot_dt,
                                  cfg.pilot_seed)
     arms = sorted(set(cfg.estimators or [cfg.estimator]))
-    model = cge.load_model(cfg.model_path) if "cge" in arms else None
+    model = _load_model(cfg) if "cge" in arms else None
     rows = []
     failures = {}
     for snr in sorted(set(cfg.snr_db)):

@@ -1,8 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from lammsc import cge, channel, nn
 from lammsc.errors import FormatError, ShapeError
+
+
+CGE1_PINNED_SHA256 = ("6900d431c8028a7e282965cc67a6b3a5"
+                      "af5de8c756c5f1aef675f356f945112d")
 
 
 def small_pattern(rows=16, cols=16):
@@ -153,6 +159,12 @@ class TestPersistence:
         cge.save_model(model, p1)
         cge.save_model(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_file_bytes_pinned(self, tmp_path):
+        # CGE1 is a byte-stable format: these bytes must never drift
+        path = tmp_path / "pinned.cge"
+        cge.save_model(cge.untrained_model(16, 16, seed=3), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == CGE1_PINNED_SHA256
 
     def test_truncated_file_rejected(self, tmp_path):
         model = self.make_model()

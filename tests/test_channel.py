@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,10 @@ from scipy import stats
 
 from lammsc import channel
 from lammsc.errors import FormatError, ShapeError
+
+
+LMCH_PINNED_SHA256 = ("7fd93339a939e1c347957f2b19473f4d"
+                      "cad3f144178aafe485995d35ebdb8c20")
 
 
 def ones_grid(rows=32, cols=32):
@@ -209,6 +214,16 @@ class TestDatasetFile:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="version"):
             channel.load_channel_dataset(path)
+
+    def test_file_bytes_pinned(self, tmp_path):
+        # LMCH is a byte-stable format: these bytes must never drift
+        grid = (np.arange(16) + 1j * np.arange(16, 32)).reshape(4, 4)
+        data = [channel.ChannelRealization(grid.astype(np.complex64), 1.0, 2.0, 5),
+                channel.ChannelRealization((-grid).astype(np.complex64), 1.0, 2.0,
+                                           6)]
+        path = tmp_path / "pinned.lmch"
+        channel.save_channel_dataset(path, data)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == LMCH_PINNED_SHA256
 
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "set.lmch"

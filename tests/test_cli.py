@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -10,6 +11,29 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def reference_eval_table(model_path, count, rows, cols, sigma, snrs, seed):
+    """The eval-cge table as a per-draw loop: one channel seed and one noise
+    seed per draw, CGE and LS scored on the same received grid."""
+    model = cge.load_model(model_path)
+    pattern = channel.make_pilot_pattern(rows, cols, 4, 4, 97)
+    frame = channel.insert_pilots(np.zeros((rows, cols), np.complex64), pattern)
+    lines = ["snr_db,cge_nmse,ls_nmse,n"]
+    for snr in snrs:
+        rng = np.random.default_rng(pipeline.derive_seed(seed,
+                                                         pipeline._snr_key(snr)))
+        cge_scores, ls_scores = [], []
+        for _ in range(count):
+            h = channel.gen_channel(int(rng.integers(2 ** 63)), rows, cols, sigma,
+                                    sigma)
+            y = channel.apply_channel(frame, h, snr, int(rng.integers(2 ** 63)))
+            cge_scores.append(channel.nmse(
+                cge.estimate(model, cge.make_condition(y, pattern)), h.gains))
+            ls_scores.append(channel.nmse(channel.ls_estimate(y, pattern), h.gains))
+        lines.append(f"{snr:.6g},{np.mean(cge_scores):.6g},"
+                     f"{np.mean(ls_scores):.6g},{count}")
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +93,15 @@ class TestTrainEval:
         assert lines[0] == "snr_db,cge_nmse,ls_nmse,n"
         assert len(lines) == 3
 
+    def test_eval_matches_per_draw_reference(self, capsys, tiny_model_path):
+        code, stdout, _ = run_cli(
+            capsys, "eval-cge", "--model", tiny_model_path, "--count", "6",
+            "--rows", "16", "--cols", "16", "--sigma-f", "2", "--sigma-t", "2",
+            "--snr-db", "0,10,inf,-3", "--seed", "11")
+        assert code == 0
+        assert stdout == reference_eval_table(
+            tiny_model_path, 6, 16, 16, 2.0, [0.0, 10.0, float("inf"), -3.0], 11)
+
     def test_train_from_channel_dataset(self, capsys, tmp_path):
         chan_path = tmp_path / "chan.lmch"
         run_cli(capsys, "gen-channels", "--out", str(chan_path), "--count", "64",
@@ -80,6 +113,33 @@ class TestTrainEval:
             "--snr-db", "10")
         assert code == 0
         assert model_path.exists()
+
+
+class TestConfigFlags:
+    # one sample per field that differs from the default, keyed by its type
+    SAMPLES = {int: ("41", 41), float: ("0.25", 0.25), str: ("xyz", "xyz")}
+    LISTS = {"snr_db": ("1.5,inf", [1.5, float("inf")]),
+             "estimators": ("ls,none", ["ls", "none"])}
+
+    @pytest.mark.parametrize("command", [["train-cge", "--out", "m.cge"],
+                                         ["eval-cge"], ["run"], ["sweep"]],
+                             ids=lambda c: c[0])
+    def test_every_config_field_has_a_flag(self, command):
+        parser = cli.build_parser()
+        default = pipeline.PipelineConfig()
+        for f in dataclasses.fields(pipeline.PipelineConfig):
+            value = getattr(default, f.name)
+            if f.name in self.LISTS:
+                text, want = self.LISTS[f.name]
+            elif isinstance(value, bool):
+                text, want = str(not value).lower(), not value
+            else:
+                text, want = self.SAMPLES[type(value)]
+            args = parser.parse_args(command + ["--" + f.name.replace("_", "-"),
+                                                text])
+            cfg = cli._config_from_args(args)
+            assert getattr(cfg, f.name) == want, f.name
+            assert dataclasses.replace(cfg, **{f.name: value}) == default, f.name
 
 
 class TestRun:

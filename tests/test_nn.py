@@ -190,6 +190,20 @@ class TestBackward:
         with pytest.raises(RuntimeError, match="forward"):
             net.backward(np.zeros((1, 1, 4, 4), np.float32))
 
+    def test_inference_between_forward_and_backward(self):
+        rng = np.random.default_rng(12)
+        net = nn.Sequential([make_layer("conv", 2, 3, 3, 1, 1, "leaky_relu", seed=12),
+                             make_layer("deconv", 3, 2, 4, 2, 1, seed=13)])
+        x = rng.standard_normal((2, 2, 6, 6)).astype(np.float32)
+        dy = rng.standard_normal(net.forward(x).shape).astype(np.float32)
+        net.forward(x, record=True)
+        dx_ref, grads_ref = net.backward(dy)
+        net.forward(x, record=True)
+        net.forward(rng.standard_normal((5, 2, 6, 6)).astype(np.float32))
+        dx, grads = net.backward(dy)
+        assert np.array_equal(dx, dx_ref)
+        assert all(np.array_equal(g, r) for g, r in zip(grads, grads_ref))
+
     def test_constant_loss_zero_gradients(self):
         rng = np.random.default_rng(11)
         net = nn.Sequential([make_layer("conv", 2, 3, 3, 1, 1, "leaky_relu", seed=11)])

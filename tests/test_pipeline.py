@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lammsc import corpus, pipeline
+from lammsc import cge, corpus, pipeline
 from lammsc.channel import NO_NOISE
 from lammsc.errors import ConfigError, CorpusError
 
@@ -45,6 +45,13 @@ class TestConfig:
     def test_remote_backend_needs_endpoint(self):
         with pytest.raises(ConfigError, match="endpoint"):
             pipeline.PipelineConfig(mma_backend="remote").validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("timeout_ms", 0), ("timeout_ms", -5), ("retries", -1),
+        ("sigma_f", -1.0), ("sigma_t", -0.5)])
+    def test_out_of_range_numbers_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            pipeline.PipelineConfig(**{field: value}).validate()
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -173,6 +180,25 @@ class TestSweep:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigError, match="corpus"):
             pipeline.sweep(pipeline.PipelineConfig(), [])
+
+
+class TestModelExtents:
+    @pytest.fixture()
+    def model_16(self, tmp_path):
+        path = tmp_path / "m16.cge"
+        cge.save_model(cge.untrained_model(16, 16, seed=1), path)
+        return str(path)
+
+    def test_sweep_rejects_model_for_another_grid(self, scenes, model_16):
+        cfg = pipeline.PipelineConfig(snr_db=[10.0], estimators=["cge", "ls"],
+                                      model_path=model_16)
+        with pytest.raises(ConfigError, match="16x16"):
+            pipeline.sweep(cfg, scenes[:2])
+
+    def test_run_rejects_model_for_another_grid(self, profiles, scenes, model_16):
+        cfg = lossless_cfg(estimator="cge", model_path=model_16)
+        with pytest.raises(ConfigError, match="32x32"):
+            pipeline.run_pipeline(scenes[0], cfg, *profiles)
 
 
 class TestReport:

@@ -122,11 +122,12 @@ class TestPersonalizeContract:
         assert lkb.personalize_remote(text, profile, "recover", endpoint) == text
 
     def test_missing_text_field_is_protocol_error(self, canned_server):
-        _CannedHandler.canned = {"result": "nope"}
         profile = lkb.default_prompt_base().get("Mike")
-        with pytest.raises(ProtocolError, match="text"):
-            lkb.personalize_remote("hello", profile, "extract",
-                                   canned_endpoint(canned_server))
+        for canned in ({"result": "nope"}, {"text": 5}):
+            _CannedHandler.canned = canned
+            with pytest.raises(ProtocolError, match="text"):
+                lkb.personalize_remote("hello", profile, "extract",
+                                       canned_endpoint(canned_server))
 
     def test_timeout_is_transport_error(self, monkeypatch):
         def slow(*args, **kwargs):
