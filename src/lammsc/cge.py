@@ -100,12 +100,7 @@ def make_condition(y: np.ndarray, pattern: PilotPattern) -> np.ndarray:
     masked = np.where(mask, y, 0.0).astype(np.complex64)
     pilots = np.zeros((pattern.rows, pattern.cols), np.complex64)
     pilots[np.ix_(pattern.pilot_rows, pattern.pilot_cols)] = pattern.symbols
-    cond = np.empty((CONDITION_CHANNELS, pattern.rows, pattern.cols), np.float32)
-    cond[0] = masked.real
-    cond[1] = masked.imag
-    cond[2] = pilots.real
-    cond[3] = pilots.imag
-    return cond
+    return np.concatenate([gains_to_planes(masked), gains_to_planes(pilots)])
 
 
 def gains_to_planes(gains: np.ndarray) -> np.ndarray:
@@ -117,17 +112,21 @@ def gains_to_planes(gains: np.ndarray) -> np.ndarray:
 
 
 def planes_to_gains(planes: np.ndarray) -> np.ndarray:
-    return (planes[0] + 1j * planes[1]).astype(np.complex64)
+    return (planes[..., 0, :, :] + 1j * planes[..., 1, :, :]).astype(np.complex64)
 
 
 def estimate(model: CganModel, condition: np.ndarray) -> np.ndarray:
-    """Generator forward pass; returns the estimated complex gain grid."""
-    condition = np.asarray(condition, dtype=np.float32)
-    if condition.shape != (CONDITION_CHANNELS, model.rows, model.cols):
-        raise ShapeError(f"condition shape {condition.shape} does not match the "
+    """Generator forward pass on one (4,H,W) condition or an (N,4,H,W) batch.
+
+    Returns the estimated complex gain grid, or the N grids of a batch.
+    """
+    batch = np.asarray(condition, dtype=np.float32)
+    grid = (CONDITION_CHANNELS, model.rows, model.cols)
+    if batch.ndim not in (3, 4) or batch.shape[-3:] != grid:
+        raise ShapeError(f"condition shape {batch.shape} does not match the "
                          f"model grid {model.rows}x{model.cols}")
-    planes = model.generator.forward(condition[None])[0]
-    return planes_to_gains(planes)
+    gains = planes_to_gains(model.generator.forward(batch.reshape((-1,) + grid)))
+    return gains[0] if batch.ndim == 3 else gains
 
 
 # ---------------------------------------------------------------------------
@@ -153,18 +152,6 @@ def _stack_batch(dataset, indices):
     return conds, gains
 
 
-def _validation_nmse(gen: nn.Sequential, dataset, indices, batch_size: int) -> float:
-    scores = []
-    for start in range(0, len(indices), batch_size):
-        chunk = indices[start:start + batch_size]
-        conds, gains = _stack_batch(dataset, chunk)
-        est = gen.forward(conds)
-        for est_planes, truth_planes in zip(est, gains):
-            scores.append(nmse(planes_to_gains(est_planes),
-                               planes_to_gains(truth_planes)))
-    return float(np.mean(scores))
-
-
 def train_cgan(dataset, hyper: TrainConfig | None = None, seed: int = 0) -> CganModel:
     """Adversarial training on (condition, true gains) pairs.
 
@@ -177,8 +164,8 @@ def train_cgan(dataset, hyper: TrainConfig | None = None, seed: int = 0) -> Cgan
         raise ValueError(f"training needs at least 64 pairs, got {len(dataset)}")
     rows, cols = dataset[0][1].shape
     rng = np.random.default_rng(seed)
-    gen = nn.Sequential(build_generator(rows, cols, int(rng.integers(2 ** 63))))
-    disc = nn.Sequential(build_discriminator(rows, cols, int(rng.integers(2 ** 63))))
+    model = _init_model(rows, cols, rng, hyper)
+    gen, disc = model.generator, model.discriminator
     g_state = nn.AdamState.for_params(gen.parameters(), hyper.lr, hyper.beta1,
                                       hyper.beta2)
     d_state = nn.AdamState.for_params(disc.parameters(), hyper.lr, hyper.beta1,
@@ -186,10 +173,10 @@ def train_cgan(dataset, hyper: TrainConfig | None = None, seed: int = 0) -> Cgan
 
     perm = rng.permutation(len(dataset))
     n_val = max(1, int(round(len(dataset) * hyper.val_fraction)))
-    val_idx = perm[:n_val]
+    val_pairs = [dataset[i] for i in perm[:n_val]]
     train_idx = perm[n_val:]
 
-    history = TrainHistory()
+    history = model.history
     lam = np.float32(hyper.lambda_l1)
     for epoch in range(hyper.epochs):
         order = rng.permutation(train_idx)
@@ -237,24 +224,48 @@ def train_cgan(dataset, hyper: TrainConfig | None = None, seed: int = 0) -> Cgan
             g_losses.append(g_loss)
         history.d_loss.append(float(np.mean(d_losses)))
         history.g_loss.append(float(np.mean(g_losses)))
-        history.val_nmse.append(_validation_nmse(gen, dataset, val_idx,
-                                                 hyper.batch_size))
-    return CganModel(gen, disc, rows, cols, hyper, history)
+        history.val_nmse.append(evaluate_nmse(model, val_pairs))
+    return model
+
+
+def _init_model(rows: int, cols: int, rng: np.random.Generator,
+                hyper: TrainConfig) -> CganModel:
+    """Fresh generator and discriminator, seeded by two draws from ``rng``."""
+    gen = nn.Sequential(build_generator(rows, cols, int(rng.integers(2 ** 63))))
+    disc = nn.Sequential(build_discriminator(rows, cols, int(rng.integers(2 ** 63))))
+    return CganModel(gen, disc, rows, cols, hyper, TrainHistory())
 
 
 def untrained_model(rows: int, cols: int, seed: int = 0,
                     hyper: TrainConfig | None = None) -> CganModel:
     """Freshly initialized networks, e.g. as the learnability baseline."""
-    rng = np.random.default_rng(seed)
-    gen = nn.Sequential(build_generator(rows, cols, int(rng.integers(2 ** 63))))
-    disc = nn.Sequential(build_discriminator(rows, cols, int(rng.integers(2 ** 63))))
-    return CganModel(gen, disc, rows, cols, hyper or TrainConfig(), TrainHistory())
+    return _init_model(rows, cols, np.random.default_rng(seed),
+                       hyper or TrainConfig())
 
 
 def evaluate_nmse(model: CganModel, pairs) -> float:
-    """Mean NMSE of the generator over (condition, true gains) pairs."""
-    scores = [nmse(estimate(model, cond), gains) for cond, gains in pairs]
+    """Mean NMSE of the generator over (condition, true gains) pairs.
+
+    The conditions go through ``estimate`` in batches of the model's
+    training batch size.
+    """
+    pairs = list(pairs)
+    size = model.hyper.batch_size
+    scores = []
+    for start in range(0, len(pairs), size):
+        chunk = pairs[start:start + size]
+        est = estimate(model, np.stack([cond for cond, _ in chunk]))
+        scores.extend(nmse(e, gains) for e, (_, gains) in zip(est, chunk))
     return float(np.mean(scores))
+
+
+def _pilot_pair(h: ChannelRealization, pattern: PilotPattern, snr_db: float,
+                noise_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(condition, gains) of a pilot-only frame sent through ``h``."""
+    frame = insert_pilots(np.zeros((pattern.rows, pattern.cols), np.complex64),
+                          pattern)
+    y = apply_channel(frame, h, snr_db, noise_seed)
+    return make_condition(y, pattern), h.gains
 
 
 def make_training_set(count: int, rows: int, cols: int, sigma_f: float,
@@ -262,14 +273,10 @@ def make_training_set(count: int, rows: int, cols: int, sigma_f: float,
                       seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Synthesize (condition, gains) pairs from pilot-only frames."""
     rng = np.random.default_rng(seed)
-    frame = insert_pilots(np.zeros((rows, cols), np.complex64), pattern)
     pairs = []
     for _ in range(count):
-        chan_seed = int(rng.integers(2 ** 63))
-        noise_seed = int(rng.integers(2 ** 63))
-        h = gen_channel(chan_seed, rows, cols, sigma_f, sigma_t)
-        y = apply_channel(frame, h, snr_db, noise_seed)
-        pairs.append((make_condition(y, pattern), h.gains))
+        h = gen_channel(int(rng.integers(2 ** 63)), rows, cols, sigma_f, sigma_t)
+        pairs.append(_pilot_pair(h, pattern, snr_db, int(rng.integers(2 ** 63))))
     return pairs
 
 
@@ -278,13 +285,8 @@ def pairs_from_realizations(realizations: list[ChannelRealization],
                             noise_seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Build (condition, gains) pairs from stored channel realizations."""
     rng = np.random.default_rng(noise_seed)
-    frame = insert_pilots(np.zeros((pattern.rows, pattern.cols), np.complex64),
-                          pattern)
-    pairs = []
-    for h in realizations:
-        y = apply_channel(frame, h, snr_db, int(rng.integers(2 ** 63)))
-        pairs.append((make_condition(y, pattern), h.gains))
-    return pairs
+    return [_pilot_pair(h, pattern, snr_db, int(rng.integers(2 ** 63)))
+            for h in realizations]
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +310,14 @@ def save_model(model: CganModel, path) -> None:
 
 
 def _read_layers(specs, body: bytes, offset: int):
+    """Layers from their header specs; a bad spec raises KeyError, TypeError
+    or ValueError."""
     layers = []
     for spec in specs:
         w_shape = tuple(spec["w_shape"])
         b_shape = tuple(spec["b_shape"])
+        if any(d < 0 for d in w_shape + b_shape):
+            raise ValueError(f"negative extent in layer shape {w_shape}/{b_shape}")
         w_count = int(np.prod(w_shape))
         b_count = int(np.prod(b_shape))
         need = (w_count + b_count) * 4
@@ -333,13 +339,13 @@ def load_model(path) -> CganModel:
     try:
         rows, cols = int(header["rows"]), int(header["cols"])
         hyper = TrainConfig(**header["hyper"])
+        if not isinstance(hyper.batch_size, int) or hyper.batch_size < 1:
+            raise ValueError(f"batch_size {hyper.batch_size!r} is not a positive int")
         history = TrainHistory(**header["history"])
-        gen_specs = header["generator"]
-        disc_specs = header["discriminator"]
-    except (ValueError, KeyError, TypeError) as exc:
+        gen_layers, offset = _read_layers(header["generator"], body, 0)
+        disc_layers, offset = _read_layers(header["discriminator"], body, offset)
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed CGE model header ({exc})") from exc
-    gen_layers, offset = _read_layers(gen_specs, body, 0)
-    disc_layers, offset = _read_layers(disc_specs, body, offset)
     if offset != len(body):
         raise FormatError(f"{path}: {len(body) - offset} unexpected trailing bytes")
     return CganModel(nn.Sequential(gen_layers), nn.Sequential(disc_layers),

@@ -215,8 +215,11 @@ def write_framed(path, magic: bytes, version: int, header: dict, chunks) -> None
 
 def read_framed(path, magic: bytes, version: int, kind: str) -> tuple[dict, bytes]:
     """Check the frame of a ``kind`` file; return its parsed header and body."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read {kind} file ({exc})") from exc
     if len(blob) < 9 or blob[:4] != magic:
         raise FormatError(f"{path}: not a {kind} file (bad magic)")
     if blob[4] != version:
@@ -256,9 +259,9 @@ def load_channel_dataset(path) -> list[ChannelRealization]:
     try:
         rows, cols = int(header["rows"]), int(header["cols"])
         count = int(header["count"])
-        seeds = list(header["seeds"])
+        seeds = [int(s) for s in header["seeds"]]
         sigma_f, sigma_t = float(header["sigma_f"]), float(header["sigma_t"])
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed channel dataset header ({exc})") from exc
     if len(seeds) != count:
         raise FormatError(f"{path}: header lists {len(seeds)} seeds for {count} grids")
@@ -270,5 +273,5 @@ def load_channel_dataset(path) -> list[ChannelRealization]:
     for i in range(count):
         flat = np.frombuffer(body[i * grid_bytes:(i + 1) * grid_bytes], dtype="<c8")
         out.append(ChannelRealization(flat.reshape(rows, cols).astype(np.complex64),
-                                      sigma_f, sigma_t, int(seeds[i])))
+                                      sigma_f, sigma_t, seeds[i]))
     return out

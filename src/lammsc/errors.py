@@ -13,8 +13,12 @@ class FormatError(LamMscError):
     """A persisted file has a bad magic, version, or truncated body."""
 
 
-class ConfigError(LamMscError):
-    """Invalid pipeline configuration."""
+class ConfigError(LamMscError, ValueError):
+    """Invalid pipeline configuration or an unusable configured input file.
+
+    Also a ValueError, so a caller that catches bad input values as
+    ValueError catches this one too.
+    """
 
 
 class TrainingError(LamMscError):

@@ -15,7 +15,7 @@ import csv
 import re
 from dataclasses import dataclass, field
 
-from .errors import ProtocolError
+from .errors import ConfigError, ProtocolError
 from .wire import Endpoint, post_json, require_field
 
 _PLACEHOLDER = ""
@@ -89,22 +89,25 @@ def save_prompt_base(path, base: PromptBase) -> None:
 
 
 def load_prompt_base(path) -> PromptBase:
+    """Read a prompt base CSV; an unreadable file or bad row is a ConfigError."""
     base = PromptBase()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(_PROMPT_FIELDS):
-            raise ValueError(f"{path}: expected header {','.join(_PROMPT_FIELDS)}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(_PROMPT_FIELDS):
-                raise ValueError(f"{path}: malformed profile row {row!r}")
-            name, age, identity, gender, interests, aliases, focus = row
-            base.add(Profile(name, int(age or 0), identity, gender,
-                             [s for s in interests.split(";") if s],
-                             [s for s in aliases.split(";") if s],
-                             [s for s in focus.split(";") if s]))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != list(_PROMPT_FIELDS):
+                raise ValueError(f"expected header {','.join(_PROMPT_FIELDS)}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(_PROMPT_FIELDS):
+                    raise ValueError(f"malformed profile row {row!r}")
+                name, age, identity, gender, interests, aliases, focus = row
+                base.add(Profile(name, int(age or 0), identity, gender,
+                                 [s for s in interests.split(";") if s],
+                                 [s for s in aliases.split(";") if s],
+                                 [s for s in focus.split(";") if s]))
+    except (OSError, ValueError, csv.Error) as exc:
+        raise ConfigError(f"prompt base {path}: {exc}") from exc
     return base
 
 

@@ -178,15 +178,30 @@ def _as_batched(x: np.ndarray, rank: int):
 # ---------------------------------------------------------------------------
 # layer forward/backward kernels
 
+# A conv layer's two linear maps, on its (out, in*k*k) weight matrix W:
+# x -> W @ im2col(x) and its adjoint d -> col2im(W.T @ d). A deconv holding
+# the same array applies them the other way round.
+
+def _conv_map(wmat: np.ndarray, x: np.ndarray, k: int, stride: int, pad: int):
+    """W @ im2col(x); returns it as (N, out, OH*OW), the patches, OH and OW."""
+    cols, oh, ow = _im2col(x, k, stride, pad)
+    return np.matmul(wmat, cols), cols, oh, ow
+
+
+def _conv_adjoint(wmat: np.ndarray, d: np.ndarray, x_shape, k: int, stride: int,
+                  pad: int) -> np.ndarray:
+    """col2im(W.T @ d) for d shaped (N, out, OH*OW); returns x_shape."""
+    return _col2im(np.matmul(wmat.T, d), x_shape, k, stride, pad)
+
+
 def _conv_forward(p: LayerParams, x: np.ndarray):
     o, ci, k, _ = p.weights.shape
     if x.shape[1] != ci:
         raise ShapeError(f"conv2d: input has {x.shape[1]} channels but weights "
                          f"{p.weights.shape} expect {ci} (input shape {x.shape})")
-    cols, oh, ow = _im2col(x, k, p.stride, p.padding)
-    wmat = p.weights.reshape(o, -1)
-    z = np.matmul(wmat, cols) + p.bias[:, None]
-    z = z.reshape(x.shape[0], o, oh, ow)
+    z, cols, oh, ow = _conv_map(p.weights.reshape(o, -1), x, k, p.stride,
+                                p.padding)
+    z = (z + p.bias[:, None]).reshape(x.shape[0], o, oh, ow)
     return z, (x.shape, cols)
 
 
@@ -196,9 +211,8 @@ def _conv_backward(p: LayerParams, cache, dz: np.ndarray):
     dz2 = dz.reshape(n, o, -1)
     dw = np.tensordot(dz2, cols, axes=([0, 2], [0, 2])).reshape(p.weights.shape)
     db = dz2.sum(axis=(0, 2))
-    wmat = p.weights.reshape(o, -1)
-    dcols = np.matmul(wmat.T, dz2)
-    dx = _col2im(dcols, x_shape, p.kernel_size, p.stride, p.padding)
+    dx = _conv_adjoint(p.weights.reshape(o, -1), dz2, x_shape, p.kernel_size,
+                       p.stride, p.padding)
     return dx, dw, db
 
 
@@ -212,25 +226,20 @@ def _deconv_forward(p: LayerParams, x: np.ndarray):
     ow = deconv_out_size(w, k, p.stride, p.padding)
     if oh < 1 or ow < 1:
         raise ShapeError(f"deconv2d output would be {oh}x{ow} for input {h}x{w}")
-    xmat = x.reshape(n, ci, h * w)
-    wmat = p.weights.reshape(ci, -1)
-    cols = np.matmul(wmat.T, xmat)  # (N, co*k*k, h*w)
-    z = _col2im(cols, (n, co, oh, ow), k, p.stride, p.padding)
+    z = _conv_adjoint(p.weights.reshape(ci, -1), x.reshape(n, ci, h * w),
+                      (n, co, oh, ow), k, p.stride, p.padding)
     z += p.bias[None, :, None, None]
-    return z, (x, (n, co, oh, ow))
+    return z, x
 
 
-def _deconv_backward(p: LayerParams, cache, dz: np.ndarray):
-    x, out_shape = cache
+def _deconv_backward(p: LayerParams, x, dz: np.ndarray):
     n, ci, h, w = x.shape
-    k = p.kernel_size
-    cols_dz, _, _ = _im2col(dz, k, p.stride, p.padding)  # (N, co*k*k, h*w)
-    wmat = p.weights.reshape(ci, -1)
-    dx = np.matmul(wmat, cols_dz).reshape(x.shape)
+    dx, cols_dz, _, _ = _conv_map(p.weights.reshape(ci, -1), dz, p.kernel_size,
+                                  p.stride, p.padding)
     dw = np.tensordot(x.reshape(n, ci, h * w), cols_dz,
                       axes=([0, 2], [0, 2])).reshape(p.weights.shape)
     db = dz.sum(axis=(0, 2, 3))
-    return dx, dw, db
+    return dx.reshape(x.shape), dw, db
 
 
 def _dense_forward(p: LayerParams, x: np.ndarray):
@@ -269,31 +278,27 @@ def _layer_backward(p: LayerParams, cache, dy: np.ndarray):
 # ---------------------------------------------------------------------------
 # public single-layer ops
 
-def conv2d(params: LayerParams, x: np.ndarray) -> np.ndarray:
-    """Strided 2-D convolution + activation on a (C,H,W) or (N,C,H,W) tensor."""
-    if params.kind != "conv":
-        raise ValueError(f"conv2d needs a conv layer, got {params.kind!r}")
-    xb, squeeze = _as_batched(x, 4)
+def _single_layer(op: str, kind: str, params: LayerParams, x: np.ndarray):
+    if params.kind != kind:
+        raise ValueError(f"{op} needs a {kind} layer, got {params.kind!r}")
+    xb, squeeze = _as_batched(x, 2 if kind == "dense" else 4)
     y, _ = _layer_forward(params, xb, record=False)
     return y[0] if squeeze else y
+
+
+def conv2d(params: LayerParams, x: np.ndarray) -> np.ndarray:
+    """Strided 2-D convolution + activation on a (C,H,W) or (N,C,H,W) tensor."""
+    return _single_layer("conv2d", "conv", params, x)
 
 
 def deconv2d(params: LayerParams, x: np.ndarray) -> np.ndarray:
     """Transposed convolution (adjoint of conv2d with the same weights)."""
-    if params.kind != "deconv":
-        raise ValueError(f"deconv2d needs a deconv layer, got {params.kind!r}")
-    xb, squeeze = _as_batched(x, 4)
-    y, _ = _layer_forward(params, xb, record=False)
-    return y[0] if squeeze else y
+    return _single_layer("deconv2d", "deconv", params, x)
 
 
 def dense(params: LayerParams, x: np.ndarray) -> np.ndarray:
     """Affine map Wx + b (+ activation) on (F,) or (N,F)."""
-    if params.kind != "dense":
-        raise ValueError(f"dense needs a dense layer, got {params.kind!r}")
-    xb, squeeze = _as_batched(x, 2)
-    y, _ = _layer_forward(params, xb, record=False)
-    return y[0] if squeeze else y
+    return _single_layer("dense", "dense", params, x)
 
 
 # ---------------------------------------------------------------------------

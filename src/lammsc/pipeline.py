@@ -31,6 +31,9 @@ from .wire import Endpoint
 ESTIMATORS = ("perfect", "cge", "ls", "none")
 BACKENDS = ("mock", "remote")
 REPORT_HEADER = "snr_db,estimator,accuracy,mean_cosine,mean_nmse,mean_ser,n"
+# JSON types a config value may have, by PipelineConfig field annotation
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool,
+               "list[float]": list, "list[str] | None": (list, type(None))}
 
 
 @dataclass
@@ -106,12 +109,20 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        types = {name: f.type for name, f in cls.__dataclass_fields__.items()}
+        unknown = set(data) - set(types)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            if (not isinstance(value, _JSON_TYPES[types[key]])
+                    or isinstance(value, bool) != (types[key] == "bool")):
+                raise ConfigError(f"config key {key!r} must be a JSON "
+                                  f"{types[key]}, got {value!r}")
         cfg = cls(**data)
-        cfg.snr_db = [float(s) for s in cfg.snr_db]
+        try:
+            cfg.snr_db = [float(s) for s in cfg.snr_db]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config key 'snr_db': {exc}") from exc
         if cfg.estimators is not None:
             cfg.estimators = [str(e) for e in cfg.estimators]
         return cfg

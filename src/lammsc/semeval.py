@@ -22,20 +22,11 @@ _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
 
 
-def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a of a byte string."""
-    h = 0xCBF29CE484222325
-    for b in data:
-        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
-
-
 @dataclass
 class EmbeddingVector:
-    """Unit-norm (or all-zero) 1024-dim embedding plus its source text hash."""
+    """Unit-norm (or all-zero) 1024-dim embedding."""
 
     values: np.ndarray
-    text_hash: int
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -61,7 +52,7 @@ def embed(text: str) -> EmbeddingVector:
         norm = float(np.linalg.norm(vec))
         if norm > 0.0:
             vec /= norm
-    return EmbeddingVector(vec, fnv1a64(data))
+    return EmbeddingVector(vec)
 
 
 def _values(v) -> np.ndarray:
@@ -111,5 +102,4 @@ def embed_remote(text: str, ep) -> EmbeddingVector:
     vector = require_field(resp, "vector", ep.base_url)
     if not isinstance(vector, list) or len(vector) != DIM:
         raise ProtocolError(f"{ep.base_url}: vector must hold {DIM} reals")
-    return EmbeddingVector(np.asarray(vector, dtype=np.float64),
-                           fnv1a64(text.lower().encode("utf-8")))
+    return EmbeddingVector(np.asarray(vector, dtype=np.float64))

@@ -3,6 +3,14 @@
 import numpy as np
 
 
+def fnv1a64(data: bytes) -> int:
+    """64-bit FNV-1a of a byte string, one byte at a time (reference oracle)."""
+    h = 0xCBF29CE484222325
+    for b in data:
+        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
 def rel_err(a: float, b: float, floor: float = 1e-3) -> float:
     return abs(a - b) / max(abs(a), abs(b), floor)
 

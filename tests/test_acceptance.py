@@ -242,7 +242,7 @@ class TestCriterion6MetricContract:
     def test_metric_contract(self):
         v = semeval.embed("the garden")
         assert semeval.cosine(v, v) == 1.0
-        assert semeval.cosine(v, semeval.EmbeddingVector(-v.values, 0)) == -1.0
+        assert semeval.cosine(v, semeval.EmbeddingVector(-v.values)) == -1.0
         rng = np.random.default_rng(606)
         for _ in range(50):
             a, b = rng.standard_normal((2, semeval.DIM))

@@ -1,7 +1,10 @@
 import hashlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lammsc import cge, channel, nn
 from lammsc.errors import FormatError, ShapeError
@@ -9,6 +12,9 @@ from lammsc.errors import FormatError, ShapeError
 
 CGE1_PINNED_SHA256 = ("6900d431c8028a7e282965cc67a6b3a5"
                       "af5de8c756c5f1aef675f356f945112d")
+# weights after test_tiny_training_pinned's one-epoch run; they must not drift
+TINY_WEIGHTS_SHA256 = ("6349b481bcfd795545e12901270a61c0"
+                       "eb150518786fecc1c81266a56194ae32")
 
 
 def small_pattern(rows=16, cols=16):
@@ -104,6 +110,23 @@ class TestEstimate:
         with pytest.raises(ShapeError):
             cge.estimate(model, np.zeros((4, 32, 32), np.float32))
 
+    def test_batch_matches_per_grid_bit_for_bit(self):
+        model = cge.untrained_model(16, 16, seed=4)
+        conds = np.stack([cond for cond, _ in small_dataset(5, seed=8)])
+        batched = cge.estimate(model, conds)
+        assert batched.shape == (5, 16, 16)
+        assert batched.dtype == np.complex64
+        per_grid = np.stack([cge.estimate(model, cond) for cond in conds])
+        assert batched.tobytes() == per_grid.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 4, 16, 16), (3, 2, 32, 32),
+                                       (1, 3, 4, 32, 32)])
+    def test_batch_for_other_grid_rejected(self, shape):
+        # the convs run at any extent, so only the check stops a 16x16 batch
+        model = cge.untrained_model(32, 32, seed=4)
+        with pytest.raises(ShapeError, match="32x32"):
+            cge.estimate(model, np.zeros(shape, np.float32))
+
 
 class TestTraining:
     def test_deterministic_weights(self):
@@ -132,6 +155,13 @@ class TestTraining:
         trained = cge.evaluate_nmse(model, held_out)
         untrained = cge.evaluate_nmse(cge.untrained_model(16, 16, seed=13), held_out)
         assert trained < untrained
+
+    def test_tiny_training_pinned(self):
+        model = cge.train_cgan(small_dataset(64), cge.TrainConfig(epochs=1), seed=14)
+        params = model.generator.parameters() + model.discriminator.parameters()
+        digest = hashlib.sha256(b"".join(p.tobytes() for p in params)).hexdigest()
+        assert digest == TINY_WEIGHTS_SHA256
+        assert model.history.val_nmse == [0.9998433650886734]
 
     def test_small_dataset_rejected(self):
         with pytest.raises(ValueError, match="64"):
@@ -190,3 +220,76 @@ class TestPersistence:
         path.write_bytes(b"WHAT" + bytes(20))
         with pytest.raises(FormatError, match="magic"):
             cge.load_model(path)
+
+    @pytest.mark.parametrize("generator", [[{"kind": "conv"}], 5, [
+        {"kind": "pool", "stride": 1, "padding": 0, "activation": "linear",
+         "slope": 0.2, "w_shape": [1, 1, 1, 1], "b_shape": [1]}]],
+        ids=["missing-keys", "not-a-list", "unknown-kind"])
+    def test_malformed_layer_spec_rejected(self, tmp_path, generator):
+        path = tmp_path / "bad.cge"
+        header = {"rows": 16, "cols": 16, "hyper": asdict(cge.TrainConfig()),
+                  "history": asdict(cge.TrainHistory()),
+                  "generator": generator, "discriminator": []}
+        channel.write_framed(path, b"CGE1", 1, header, [bytes(8)])
+        with pytest.raises(FormatError) as info:
+            cge.load_model(path)
+        assert str(path) in str(info.value)
+
+
+def tiny_model_bytes(tmp_path) -> bytes:
+    """A CGE1 file of two one-layer networks, a few hundred bytes long."""
+    rng = np.random.default_rng(0)
+    model = cge.CganModel(
+        nn.Sequential([nn.conv_layer(1, 1, 2, 1, 0, "leaky_relu", rng=rng)]),
+        nn.Sequential([nn.dense_layer(2, 1, "sigmoid", rng=rng)]),
+        16, 16, cge.TrainConfig(), cge.TrainHistory([1.5], [57.25], [0.875]))
+    path = tmp_path / "tiny.cge"
+    cge.save_model(model, path)
+    return path.read_bytes()
+
+
+def tiny_dataset_bytes(tmp_path) -> bytes:
+    """An LMCH file of two 4x4 grids. The seeds have 19 digits, so one
+    overwritten byte can turn a seed into a float too large for an int."""
+    path = tmp_path / "tiny.lmch"
+    channel.save_channel_dataset(
+        path, [channel.gen_channel(10 ** 18 + i, 4, 4, 1.0, 1.0) for i in range(2)])
+    return path.read_bytes()
+
+
+TINY_FILES = pytest.mark.parametrize(
+    "make, load", [(tiny_model_bytes, cge.load_model),
+                   (tiny_dataset_bytes, channel.load_channel_dataset)],
+    ids=["CGE1", "LMCH"])
+FUZZ = settings(max_examples=300, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestCorruptFiles:
+    """Whatever the damage, loading raises only FormatError."""
+
+    @TINY_FILES
+    @FUZZ
+    @given(data=st.data())
+    def test_truncation_raises_format_error(self, tmp_path, make, load, data):
+        blob = make(tmp_path)
+        cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+        path = tmp_path / "cut.bin"
+        path.write_bytes(blob[:cut])
+        with pytest.raises(FormatError):
+            load(path)
+
+    @TINY_FILES
+    @FUZZ
+    @given(data=st.data())
+    def test_overwritten_byte_loads_or_raises_format_error(self, tmp_path, make,
+                                                           load, data):
+        blob = bytearray(make(tmp_path))
+        offset = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        blob[offset] = data.draw(st.integers(0, 255), label="value")
+        path = tmp_path / "overwritten.bin"
+        path.write_bytes(bytes(blob))
+        try:
+            load(path)
+        except FormatError:
+            pass

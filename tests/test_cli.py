@@ -207,3 +207,30 @@ class TestSweep:
         code, _, stderr = run_cli(capsys, "sweep", "--snr-db", "10")
         assert code == 1
         assert "config error" in stderr
+
+
+BAD_BASE = ("name,age,identity,gender,interests,aliases,focus\n"
+            "Mike,x,,,,,\nJane,27,,,,,\n")
+
+
+class TestLoaderErrors:
+    """A bad input file exits with its taxonomy code, never 'unexpected'."""
+
+    @pytest.mark.parametrize("argv, code, prefix", [
+        (["run", "--text", "hi there", "--prompt-base-path", "{tmp}/bad.csv"],
+         1, "config error: prompt base"),
+        (["run", "--text", "hi there", "--prompt-base-path", "{tmp}/none.csv"],
+         1, "config error: prompt base"),
+        (["run", "--text", "hi there", "--config", "{tmp}/typed.json"],
+         1, "config error: config key 'rows'"),
+        (["run", "--text", "hi there", "--estimator", "cge",
+          "--model-path", "{tmp}/none.cge"], 2, "error: "),
+        (["eval-cge", "--model", "{tmp}/none.cge"], 2, "error: "),
+    ], ids=["bad-age", "missing-prompt-base", "wrong-json-type",
+            "missing-model-path", "missing-eval-model"])
+    def test_exit_code_and_prefix(self, capsys, tmp_path, argv, code, prefix):
+        (tmp_path / "bad.csv").write_text(BAD_BASE)
+        (tmp_path / "typed.json").write_text('{"rows": "32"}')
+        got, _, stderr = run_cli(capsys, *[a.format(tmp=tmp_path) for a in argv])
+        assert got == code
+        assert stderr.startswith(prefix), stderr

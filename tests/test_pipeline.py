@@ -53,6 +53,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field):
             pipeline.PipelineConfig(**{field: value}).validate()
 
+    @pytest.mark.parametrize("key, value", [
+        ("rows", "32"), ("rows", 32.0), ("rows", True), ("sigma_f", "4"),
+        ("lkb_enabled", 1), ("estimator", None), ("snr_db", 10.0),
+        ("snr_db", ["loud"]), ("snr_db", [None]), ("estimators", "ls")])
+    def test_wrong_json_type_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            pipeline.PipelineConfig.from_dict({key: value})
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             pipeline.PipelineConfig.from_dict({"rows": 32, "wat": 1})
