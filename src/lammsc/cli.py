@@ -84,8 +84,7 @@ def _cmd_gen_channels(args) -> int:
 
 def _cmd_train_cge(args) -> int:
     cfg = _config_from_args(args)
-    pattern = channel.make_pilot_pattern(cfg.rows, cfg.cols, cfg.pilot_df,
-                                         cfg.pilot_dt, cfg.pilot_seed)
+    pattern = cfg.pilot_pattern()
     snr = cfg.snr_db[0]
     if args.channels:
         realizations = channel.load_channel_dataset(args.channels)
@@ -105,8 +104,7 @@ def _cmd_train_cge(args) -> int:
 def _cmd_eval_cge(args) -> int:
     cfg = _config_from_args(args)
     model = cge.load_model(args.model or cfg.model_path)
-    pattern = channel.make_pilot_pattern(cfg.rows, cfg.cols, cfg.pilot_df,
-                                         cfg.pilot_dt, cfg.pilot_seed)
+    pattern = cfg.pilot_pattern()
     lines = ["snr_db,cge_nmse,ls_nmse,n"]
     for snr in cfg.snr_db:
         pairs = cge.make_training_set(

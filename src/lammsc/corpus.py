@@ -58,7 +58,7 @@ def load_corpus(path) -> list[ScenePayload]:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
     scenes = []
     for lineno, line in enumerate(lines, start=1):

@@ -18,7 +18,6 @@ article, main garments before accessories.
 from __future__ import annotations
 
 import base64
-import binascii
 import json
 import re
 from dataclasses import dataclass, field
@@ -255,7 +254,7 @@ def transform_remote(payload, target_modality: str, ep: Endpoint):
     encoded = require_field(resp, "data", ep.base_url)
     try:
         raw = base64.b64decode(encoded, validate=True)
-    except (binascii.Error, TypeError) as exc:
+    except (ValueError, TypeError) as exc:  # binascii.Error, or non-ASCII str
         raise ProtocolError(f"{ep.base_url}: response data is not base64") from exc
     if target_modality == "text":
         try:
@@ -266,5 +265,5 @@ def transform_remote(payload, target_modality: str, ep: Endpoint):
         scene = scene_from_json(raw.decode("utf-8"))
         scene.modality = target_modality
         return scene
-    except (ValueError, UnicodeDecodeError):
+    except (ValueError, TypeError):  # not a scene record: keep the raw bytes
         return ScenePayload(target_modality, raw_blob=raw)

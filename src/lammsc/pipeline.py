@@ -1,12 +1,16 @@
 """End-to-end orchestration of the five workflow steps.
 
-A single transmission runs payload -> caption -> personalized semantics ->
+A transmission runs payload -> caption -> personalized semantics ->
 QPSK frames -> fading channel -> gain estimation -> equalization ->
 demodulation -> receiver personalization -> payload, recording every
-intermediate. A sweep repeats that over a corpus and an (snr, estimator)
-grid with per-message derived seeds, so paired arms see identical channel
-and noise draws and the whole run is a pure function of (config, corpus,
-master seed).
+intermediate. Both `run_pipeline` and `sweep` go through one per-message
+pass: the text stages (caption, extract, reference) and the framing run once
+per message; channel and noise are drawn once per (message, snr) and shared
+by every estimator arm; estimation onward runs per arm. Each record gets a
+copy of the shared stages' results, timings, flags and first error.
+`run_pipeline` is the pass with one draw and one arm. A sweep seeds each
+(message, snr) draw from the master seed, so the whole run is a pure
+function of (config, corpus, master seed).
 """
 
 from __future__ import annotations
@@ -14,14 +18,14 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
 from . import cge, codec, semeval
-from .channel import (NO_NOISE, apply_channel, gen_channel, ls_estimate,
-                      make_pilot_pattern, nmse)
+from .channel import (NO_NOISE, PilotPattern, apply_channel, gen_channel,
+                      ls_estimate, make_pilot_pattern, nmse)
 from .errors import ConfigError, LamMscError
 from .lkb import (Profile, default_prompt_base, load_prompt_base,
                   personalize_extract, personalize_recover, personalize_remote)
@@ -103,6 +107,10 @@ class PipelineConfig:
             if backend == "remote" and not endpoint:
                 raise ConfigError(f"{stage} backend 'remote' needs an endpoint")
         return self
+
+    def pilot_pattern(self) -> PilotPattern:
+        return make_pilot_pattern(self.rows, self.cols, self.pilot_df,
+                                  self.pilot_dt, self.pilot_seed)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -256,149 +264,164 @@ def load_profiles(cfg: PipelineConfig) -> tuple[Profile, Profile]:
 
 
 # ---------------------------------------------------------------------------
-# single transmission
+# per-message pass: one message through every (snr, seed) draw and arm
 
-def _estimate_gains(estimator: str, y: np.ndarray, gains: np.ndarray, pattern,
-                    model) -> np.ndarray:
+def _attempt(record: TransmissionRecord, stage: str, fn, fallback):
+    """Run one stage, timing it and capturing its error on the record."""
+    start = time.perf_counter()
+    try:
+        return fn()
+    except (LamMscError, ValueError) as exc:
+        if record.error_stage is None:
+            record.error_stage, record.error_message = stage, str(exc)
+        return fallback
+    finally:
+        elapsed = time.perf_counter() - start
+        record.timings[stage] = record.timings.get(stage, 0.0) + elapsed
+
+
+def _fork(record: TransmissionRecord, **changes) -> TransmissionRecord:
+    """Copy a record with its own timings, flags and frame_ser."""
+    return replace(record, timings=dict(record.timings), flags=list(record.flags),
+                   frame_ser=list(record.frame_ser), **changes)
+
+
+def _draw_channel(cfg: PipelineConfig, frames, snr_db: float, seed: int):
+    """True gains and received grid of every frame for one (snr, seed) draw."""
+    gains = [np.ones((cfg.rows, cfg.cols), np.complex64) if cfg.ideal_channel
+             else gen_channel(derive_seed(seed, "chan", i), cfg.rows, cfg.cols,
+                              cfg.sigma_f, cfg.sigma_t).gains
+             for i in range(len(frames))]
+    return gains, [apply_channel(frame.grid, h, snr_db, derive_seed(seed, "noise", i))
+                   for i, (frame, h) in enumerate(zip(frames, gains))]
+
+
+def _estimate_gains(estimator: str, ys, gains, pattern, model):
     if estimator == "perfect":
         return gains
     if estimator == "ls":
-        return ls_estimate(y, pattern)
-    if estimator == "cge":
-        return cge.estimate(model, cge.make_condition(y, pattern))
-    return np.ones_like(gains)
+        return [ls_estimate(y, pattern) for y in ys]
+    if estimator == "cge":  # every frame in one batch
+        return cge.estimate(model, np.stack([cge.make_condition(y, pattern)
+                                             for y in ys]))
+    return [np.ones_like(h) for h in gains]
+
+
+def _receive(rec: TransmissionRecord, cfg: PipelineConfig, frames, channel,
+             pattern, model) -> str:
+    """Estimate, equalize and demodulate one arm's frames; returns the text."""
+    gains, ys = channel
+    h_ests = _estimate_gains(rec.estimator, ys, gains, pattern, model)
+    noise_var = 0.0 if rec.snr_db == NO_NOISE else 10.0 ** (-rec.snr_db / 10.0)
+    received, nmses, errors = [], [], 0
+    for frame, h, y, h_est in zip(frames, gains, ys, h_ests):
+        nmses.append(nmse(h_est, h))
+        got = frame.extract(codec.equalize(y, h_est, noise_var, cfg.equalizer))
+        received.append(got)
+        rec.frame_ser.append(codec.ser(frame.extract(frame.grid), got))
+        errors += rec.frame_ser[-1] * frame.occupancy
+    rec.nmse = float(np.mean(nmses))
+    rec.ser = errors / sum(frame.occupancy for frame in frames)
+    stream_rx = codec.demodulate(np.concatenate(received), cfg.repetition)
+    if stream_rx.missing_terminator:
+        rec.flags.append("missing-terminator")
+    return codec.detokenize(stream_rx)
+
+
+def _run_message(payload, cfg: PipelineConfig, stages, pattern, model, draws,
+                 arms) -> list[TransmissionRecord]:
+    """One message through every (snr_db, seed) draw and estimator arm.
+
+    Caption, extract, reference and framing run once per message; channel and
+    noise once per draw, shared by the arms; estimation onward once per arm.
+    Each record is forked from the shared ones, so it carries their results,
+    timings, flags and first error. Records come back draw-major.
+    """
+    caption, to_payload, extract, recover, embed = stages
+    base = TransmissionRecord(input_payload=payload)
+    base.caption = _attempt(base, "modal-transform", lambda: (
+        payload if isinstance(payload, str) else caption(payload)), "")
+    base.semantics = _attempt(base, "personalize-extract",
+                              lambda: extract(base.caption), "")
+    if not base.semantics:
+        base.flags.append("empty-semantics")
+    base.reference_text = _attempt(base, "reference",
+                                   lambda: recover(base.semantics), base.semantics)
+    frames = _attempt(base, "transmit", lambda: codec.map_to_grid(codec.modulate(
+        codec.tokenize(base.semantics), cfg.repetition), pattern), None)
+    modality = payload.modality if isinstance(payload, ScenePayload) else "image"
+    records = []
+    for snr_db, seed in draws:
+        draw = _fork(base, snr_db=snr_db, seed=seed)
+        channel = frames and _attempt(  # None once framing or the draw failed
+            draw, "transmit", lambda: _draw_channel(cfg, frames, snr_db, seed), None)
+        for estimator in arms:
+            rec = _fork(draw, estimator=estimator)
+            if channel:
+                rec.received_text = _attempt(rec, "transmit", lambda: _receive(
+                    rec, cfg, frames, channel, pattern, model), "")
+            rec.recovered_text = _attempt(rec, "personalize-recover", lambda: recover(
+                rec.received_text), rec.received_text)
+            rec.recovered_payload = _attempt(rec, "modal-recovery", lambda: to_payload(
+                rec.recovered_text, modality), None)
+            rec.cosine = _attempt(rec, "scoring", lambda: semeval.cosine(
+                embed(rec.reference_text), embed(rec.recovered_text)), 0.0)
+            rec.correct = rec.cosine > cfg.threshold
+            records.append(rec)
+    return records
 
 
 def run_pipeline(payload, cfg: PipelineConfig, sender: Profile, receiver: Profile,
                  *, snr_db: float | None = None, estimator: str | None = None,
-                 seed: int | None = None, model: cge.CganModel | None = None,
-                 pattern=None) -> TransmissionRecord:
+                 seed: int | None = None) -> TransmissionRecord:
     """One end-to-end transmission; stage errors are captured, not raised."""
     snr_db = cfg.snr_db[0] if snr_db is None else snr_db
     estimator = estimator or cfg.estimator
     if estimator not in ESTIMATORS:
         raise ConfigError(f"unknown estimator {estimator!r}")
     seed = cfg.master_seed if seed is None else seed
-    pattern = pattern or make_pilot_pattern(cfg.rows, cfg.cols, cfg.pilot_df,
-                                            cfg.pilot_dt, cfg.pilot_seed)
-    if estimator == "cge" and model is None:
-        model = _load_model(cfg)
-    caption, to_payload, extract, recover, embed = _bind_stages(cfg, sender,
-                                                                receiver)
-
-    record = TransmissionRecord(input_payload=payload, snr_db=snr_db,
-                                estimator=estimator, seed=seed)
-    timings = record.timings
-
-    def attempt(stage, fn, fallback):
-        start = time.perf_counter()
-        try:
-            return fn()
-        except (LamMscError, ValueError) as exc:
-            if record.error_stage is None:
-                record.error_stage = stage
-                record.error_message = str(exc)
-            return fallback
-        finally:
-            timings[stage] = timings.get(stage, 0.0) + time.perf_counter() - start
-
-    record.caption = attempt(
-        "modal-transform",
-        lambda: payload if isinstance(payload, str) else caption(payload), "")
-    record.semantics = attempt("personalize-extract",
-                               lambda: extract(record.caption), "")
-    if not record.semantics:
-        record.flags.append("empty-semantics")
-    record.reference_text = attempt("reference",
-                                    lambda: recover(record.semantics),
-                                    record.semantics)
-
-    def transmit() -> str:
-        stream = codec.tokenize(record.semantics)
-        frames = codec.map_to_grid(codec.modulate(stream, cfg.repetition), pattern)
-        noise_var = 0.0 if snr_db == NO_NOISE else 10.0 ** (-snr_db / 10.0)
-        received = []
-        nmses = []
-        errors = 0
-        total = 0
-        for i, frame in enumerate(frames):
-            if cfg.ideal_channel:
-                gains = np.ones((cfg.rows, cfg.cols), np.complex64)
-            else:
-                gains = gen_channel(derive_seed(seed, "chan", i), cfg.rows,
-                                    cfg.cols, cfg.sigma_f, cfg.sigma_t).gains
-            y = apply_channel(frame.grid, gains, snr_db,
-                              derive_seed(seed, "noise", i))
-            h_est = _estimate_gains(estimator, y, gains, pattern, model)
-            nmses.append(nmse(h_est, gains))
-            eq = codec.equalize(y, h_est, noise_var, cfg.equalizer)
-            got = frame.extract(eq)
-            received.append(got)
-            sent = frame.extract(frame.grid)
-            frame_ser = codec.ser(sent, got)
-            record.frame_ser.append(frame_ser)
-            errors += frame_ser * sent.size
-            total += sent.size
-        record.nmse = float(np.mean(nmses)) if nmses else 0.0
-        record.ser = errors / total if total else 0.0
-        stream_rx = codec.demodulate(np.concatenate(received), cfg.repetition)
-        if stream_rx.missing_terminator:
-            record.flags.append("missing-terminator")
-        return codec.detokenize(stream_rx)
-
-    record.received_text = attempt("transmit", transmit, "")
-    record.recovered_text = attempt("personalize-recover",
-                                    lambda: recover(record.received_text),
-                                    record.received_text)
-    modality = payload.modality if isinstance(payload, ScenePayload) else "image"
-    record.recovered_payload = attempt(
-        "modal-recovery", lambda: to_payload(record.recovered_text, modality), None)
-    record.cosine = attempt(
-        "scoring",
-        lambda: semeval.cosine(embed(record.reference_text),
-                               embed(record.recovered_text)), 0.0)
-    record.correct = record.cosine > cfg.threshold
-    return record
+    pattern = cfg.pilot_pattern()
+    model = _load_model(cfg) if estimator == "cge" else None
+    return _run_message(payload, cfg, _bind_stages(cfg, sender, receiver), pattern,
+                        model, [(snr_db, seed)], [estimator])[0]
 
 
 # ---------------------------------------------------------------------------
 # sweeps and reports
 
 def sweep(cfg: PipelineConfig, messages) -> SweepReport:
-    """Run every (snr, estimator) arm over the corpus with paired seeds."""
+    """Run every (snr, estimator) arm over the corpus with paired seeds.
+
+    Each message makes one per-message pass over all SNRs and arms; only
+    (cosine, nmse, ser, failed) of each record is kept.
+    """
     messages = list(messages)
     if not messages:
         raise ConfigError("sweep needs a non-empty corpus")
     cfg.validate()
     sender, receiver = load_profiles(cfg)
-    pattern = make_pilot_pattern(cfg.rows, cfg.cols, cfg.pilot_df, cfg.pilot_dt,
-                                 cfg.pilot_seed)
+    pattern = cfg.pilot_pattern()
     arms = sorted(set(cfg.estimators or [cfg.estimator]))
     model = _load_model(cfg) if "cge" in arms else None
-    rows = []
-    failures = {}
-    for snr in sorted(set(cfg.snr_db)):
-        for est in arms:
-            scores, nmses, sers = [], [], []
-            fails = 0
-            for idx, payload in enumerate(messages):
-                msg_seed = derive_seed(cfg.master_seed, idx, _snr_key(snr))
-                rec = run_pipeline(payload, cfg, sender, receiver, snr_db=snr,
-                                   estimator=est, seed=msg_seed, model=model,
-                                   pattern=pattern)
-                scores.append(rec.cosine)
-                nmses.append(rec.nmse)
-                sers.append(rec.ser)
-                if rec.error_stage is not None:
-                    fails += 1
-            rows.append(SweepRow(
-                snr_db=snr, estimator=est,
-                accuracy=semeval.accuracy_from_scores(scores, cfg.threshold),
-                mean_cosine=float(np.mean(scores)),
-                mean_nmse=float(np.mean(nmses)),
-                mean_ser=float(np.mean(sers)), n=len(messages)))
-            if fails:
-                failures[f"{_snr_key(snr)}/{est}"] = fails
+    stages = _bind_stages(cfg, sender, receiver)
+    snrs = sorted(set(cfg.snr_db))
+    # keyed in the draw-major order of _run_message's records
+    results = {(snr, est): [] for snr in snrs for est in arms}
+    for idx, payload in enumerate(messages):
+        draws = [(snr, derive_seed(cfg.master_seed, idx, _snr_key(snr)))
+                 for snr in snrs]
+        records = _run_message(payload, cfg, stages, pattern, model, draws, arms)
+        for cell, rec in zip(results.values(), records):
+            cell.append((rec.cosine, rec.nmse, rec.ser, rec.error_stage is not None))
+    rows, failures = [], {}
+    for (snr, est), cell in results.items():
+        scores, nmses, sers, failed = zip(*cell)
+        accuracy = semeval.accuracy_from_scores(scores, cfg.threshold)
+        rows.append(SweepRow(snr, est, accuracy, float(np.mean(scores)),
+                             float(np.mean(nmses)), float(np.mean(sers)),
+                             len(messages)))
+        if any(failed):
+            failures[f"{_snr_key(snr)}/{est}"] = sum(failed)
     return SweepReport(rows, cfg.fingerprint(), cfg.master_seed, failures)
 
 

@@ -9,6 +9,7 @@ scores lower, and results are bit-stable across platforms.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +101,8 @@ def embed_remote(text: str, ep) -> EmbeddingVector:
     """Fetch the embedding from a remote service speaking the /embed contract."""
     resp = post_json(ep, "/embed", {"text": text})
     vector = require_field(resp, "vector", ep.base_url)
-    if not isinstance(vector, list) or len(vector) != DIM:
-        raise ProtocolError(f"{ep.base_url}: vector must hold {DIM} reals")
+    # JSON numbers only (a bool is not a real), finite and within float64 range
+    if not isinstance(vector, list) or len(vector) != DIM or not all(
+            type(x) in (int, float) and abs(x) <= sys.float_info.max for x in vector):
+        raise ProtocolError(f"{ep.base_url}: vector must hold {DIM} finite reals")
     return EmbeddingVector(np.asarray(vector, dtype=np.float64))

@@ -179,6 +179,13 @@ class TestRun:
         code, _, stderr = run_cli(capsys, "run", "--corpus", "/nope/missing.jsonl")
         assert code == 2
 
+    def test_non_utf8_corpus_is_runtime_error(self, capsys, tmp_path):
+        path = tmp_path / "utf16.jsonl"
+        path.write_bytes(b"\xff\xfe{\x00}\x00\n\x00")
+        code, _, stderr = run_cli(capsys, "run", "--corpus", str(path))
+        assert code == 2
+        assert stderr.startswith("error: "), stderr
+
 
 class TestSweep:
     def test_report_file_and_determinism(self, capsys, tmp_path, corpus_path):

@@ -1,9 +1,12 @@
+import dataclasses
+import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from lammsc import cge, corpus, pipeline
+from lammsc import cge, codec, corpus, pipeline
 from lammsc.channel import NO_NOISE
 from lammsc.errors import ConfigError, CorpusError
 
@@ -190,6 +193,85 @@ class TestSweep:
             pipeline.sweep(pipeline.PipelineConfig(), [])
 
 
+@pytest.fixture(scope="module")
+def multiframe_cfg(tmp_path_factory):
+    """16x16 grids at repetition 2: every caption spans several frames."""
+    path = tmp_path_factory.mktemp("model") / "m16.cge"
+    cge.save_model(cge.untrained_model(16, 16, seed=1), path)
+    return pipeline.PipelineConfig(
+        rows=16, cols=16, repetition=2, equalizer="mmse",
+        snr_db=[-3.0, 10.0, NO_NOISE], estimators=list(pipeline.ESTIMATORS),
+        model_path=str(path)).validate()
+
+
+class TestPerMessagePass:
+    """Text stages run once per message, the channel once per (message, SNR),
+    and the arms share that draw."""
+
+    def test_multiframe_sweep_csv_pinned(self, scenes, multiframe_cfg):
+        csv = pipeline.format_report(pipeline.sweep(multiframe_cfg, scenes))
+        # sha256 taken when sweep still ran one full transmission per
+        # (snr, arm, message)
+        assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == (
+            "22b98c9e6b7f2f63c0ce6ae08a1a9dde2a5f87b9b0fc38c81305428b855ab5dc")
+
+    def test_stage_call_counts(self, monkeypatch, scenes, multiframe_cfg):
+        calls = Counter()
+        frames_per_message = []
+
+        def counted(name):
+            fn = getattr(pipeline, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        map_to_grid = codec.map_to_grid
+
+        def framing(*args):
+            frames = map_to_grid(*args)
+            frames_per_message.append(len(frames))
+            return frames
+
+        for name in ("scene_to_text", "personalize_extract", "gen_channel"):
+            monkeypatch.setattr(pipeline, name, counted(name))
+        monkeypatch.setattr(codec, "map_to_grid", framing)
+        messages = scenes[:3]
+        report = pipeline.sweep(multiframe_cfg, messages)
+        assert len(report.rows) == 3 * 4
+        assert calls["scene_to_text"] == len(messages)
+        assert calls["personalize_extract"] == len(messages)
+        assert len(frames_per_message) == len(messages)
+        assert sum(frames_per_message) > len(messages)  # several frames each
+        assert calls["gen_channel"] == 3 * sum(frames_per_message)
+
+    @pytest.mark.parametrize("text", [None, "\ud800 not encodable"],
+                             ids=["scene", "transmit-error"])
+    def test_paired_arms_match_single_runs(self, profiles, scenes, multiframe_cfg,
+                                           text):
+        cfg, payload = multiframe_cfg, scenes[4]
+        if text is not None:  # reaches the codec unchanged, which cannot encode it
+            cfg, payload = dataclasses.replace(cfg, lkb_enabled=False), text
+        draws = [(snr, pipeline.derive_seed(3, snr)) for snr in cfg.snr_db]
+        paired = pipeline._run_message(
+            payload, cfg, pipeline._bind_stages(cfg, *profiles),
+            cfg.pilot_pattern(), cge.load_model(cfg.model_path), draws,
+            cfg.estimators)
+        single = [pipeline.run_pipeline(payload, cfg, *profiles, snr_db=snr,
+                                        estimator=est, seed=seed)
+                  for snr, seed in draws for est in cfg.estimators]
+        assert len(paired) == len(single) == 3 * 4
+
+        def fields(rec):
+            out = dataclasses.asdict(rec)
+            out["timings"] = list(out["timings"])
+            return out
+        assert [fields(r) for r in paired] == [fields(r) for r in single]
+        if text is not None:  # a shared-stage error reaches every arm
+            assert {r.error_stage for r in paired} == {"transmit"}
+
+
 class TestModelExtents:
     @pytest.fixture()
     def model_16(self, tmp_path):
@@ -261,6 +343,12 @@ class TestCorpus:
         corpus.save_corpus(path, good)
         path.write_text(path.read_text() + "this is not json\n")
         with pytest.raises(CorpusError, match=":2"):
+            corpus.load_corpus(path)
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"\xff\xfe{}\n")
+        with pytest.raises(CorpusError, match="cannot read corpus"):
             corpus.load_corpus(path)
 
     def test_200_line_corpus(self, tmp_path):

@@ -3,10 +3,13 @@ import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from unittest import mock
 
 import numpy as np
 import pytest
 import requests
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lammsc import corpus, lkb, mma, pipeline, semeval
 from lammsc.errors import ProtocolError, RemoteServiceError, TransportError
@@ -225,3 +228,53 @@ class TestRemoteModeEquivalence:
                                              lkb_backend="remote",
                                              lkb_endpoint=server.url)
         assert self.run_all(mock_cfg) == self.run_all(remote_cfg)
+
+
+def _b64(blob: bytes) -> str:
+    return base64.b64encode(blob).decode("ascii")
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner,
+                                                                max_size=3),
+    max_leaves=8)
+_SCENE_LIKE = st.dictionaries(
+    st.sampled_from(["entities", "modality", "background", "pose"]), _JSON)
+# each field the clients read: any JSON value, or one shaped close to valid
+_REPLIES = st.fixed_dictionaries({}, optional={
+    "target_modality": _JSON,
+    "data": _JSON | st.text() | st.binary().map(_b64) | (_JSON | _SCENE_LIKE).map(
+        lambda v: _b64(json.dumps(v).encode("utf-8"))),
+    "text": _JSON,
+    "vector": _JSON | st.tuples(st.integers(0, semeval.DIM - 1), _JSON).map(
+        lambda at: [0.5] * at[0] + [at[1]] + [0.5] * (semeval.DIM - 1 - at[0])),
+})
+_CLIENTS = {
+    "caption": lambda ep: mma.transform_remote(GARDEN_SCENE, "text", ep),
+    "to-scene": lambda ep: mma.transform_remote(GARDEN_CAPTION, "image", ep),
+    "personalize": lambda ep: lkb.personalize_remote(
+        "hello", lkb.default_prompt_base().get("Mike"), "extract", ep),
+    "embed": lambda ep: semeval.embed_remote("hello", ep),
+}
+
+
+class TestArbitraryReplies:
+    """Whatever JSON object a service answers, a client returns or raises
+    ProtocolError."""
+
+    @pytest.mark.parametrize("client", list(_CLIENTS))
+    @settings(max_examples=300, deadline=None)
+    @given(reply=_REPLIES)
+    @example(reply={"target_modality": "text", "data": "\u00e9", "text": 5,
+                    "vector": ["a"] * semeval.DIM})
+    def test_returns_or_raises_protocol_error(self, client, reply):
+        def post_json(ep, path, body):
+            return reply
+        with mock.patch.object(mma, "post_json", post_json), \
+                mock.patch.object(lkb, "post_json", post_json), \
+                mock.patch.object(semeval, "post_json", post_json):
+            try:
+                _CLIENTS[client](Endpoint("http://replies.invalid"))
+            except ProtocolError:
+                pass
