@@ -21,7 +21,7 @@ import numpy as np
 from . import nn
 from .channel import (ChannelRealization, PilotPattern, apply_channel,
                       gen_channel, insert_pilots, nmse, read_framed, write_framed)
-from .errors import FormatError, ShapeError, TrainingError
+from .errors import ConfigError, FormatError, ShapeError, TrainingError
 
 _CGE_MAGIC = b"CGE1"
 _CGE_VERSION = 1
@@ -152,6 +152,19 @@ def _stack_batch(dataset, indices):
     return conds, gains
 
 
+def check_training_setup(hyper: TrainConfig, count: int, rows: int, cols: int) -> None:
+    """Raise ConfigError for a training set-up that cannot run to the end."""
+    if count < 64:
+        raise ConfigError(f"training needs at least 64 pairs, got {count}")
+    if hyper.epochs < 1:
+        raise ConfigError(f"training needs at least 1 epoch, got {hyper.epochs}")
+    if hyper.batch_size < 1:
+        raise ConfigError(f"batch size must be at least 1, got {hyper.batch_size}")
+    if rows % 16 or cols % 16:
+        raise ConfigError(f"CGE training needs grid extents divisible by 16, got "
+                          f"{rows}x{cols}")
+
+
 def train_cgan(dataset, hyper: TrainConfig | None = None, seed: int = 0) -> CganModel:
     """Adversarial training on (condition, true gains) pairs.
 
@@ -160,9 +173,8 @@ def train_cgan(dataset, hyper: TrainConfig | None = None, seed: int = 0) -> Cgan
     dataset give bit-identical weights.
     """
     hyper = hyper or TrainConfig()
-    if len(dataset) < 64:
-        raise ValueError(f"training needs at least 64 pairs, got {len(dataset)}")
-    rows, cols = dataset[0][1].shape
+    rows, cols = dataset[0][1].shape if len(dataset) else (0, 0)
+    check_training_setup(hyper, len(dataset), rows, cols)
     rng = np.random.default_rng(seed)
     model = _init_model(rows, cols, rng, hyper)
     gen, disc = model.generator, model.discriminator

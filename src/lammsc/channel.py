@@ -13,8 +13,11 @@ Dataset file format (magic ``LMCH``, version 1):
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import secrets
 import struct
 from dataclasses import dataclass
 
@@ -204,13 +207,25 @@ def nmse(est: np.ndarray, truth: np.ndarray) -> float:
 # framed files: magic, version byte, uint32 header length, JSON header, body
 
 def write_framed(path, magic: bytes, version: int, header: dict, chunks) -> None:
-    """Write one framed file; ``chunks`` are the body's byte strings in order."""
+    """Write one framed file; ``chunks`` are the body's byte strings in order.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path``; on any failure the temporary file is removed and an
+    existing file at ``path`` is left as it was.
+    """
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(magic + struct.pack("<BI", version, len(blob)))
-        fh.write(blob)
-        for chunk in chunks:
-            fh.write(chunk)
+    tmp = f"{os.fspath(path)}.{secrets.token_hex(8)}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(magic + struct.pack("<BI", version, len(blob)))
+            fh.write(blob)
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def read_framed(path, magic: bytes, version: int, kind: str) -> tuple[dict, bytes]:

@@ -86,14 +86,16 @@ def _cmd_train_cge(args) -> int:
     cfg = _config_from_args(args)
     pattern = cfg.pilot_pattern()
     snr = cfg.snr_db[0]
+    hyper = cge.TrainConfig(epochs=args.epochs, batch_size=args.batch)
     if args.channels:
         realizations = channel.load_channel_dataset(args.channels)
+        cge.check_training_setup(hyper, len(realizations), cfg.rows, cfg.cols)
         pairs = cge.pairs_from_realizations(realizations, pattern, snr,
                                             noise_seed=args.data_seed)
     else:
+        cge.check_training_setup(hyper, args.pairs, cfg.rows, cfg.cols)
         pairs = cge.make_training_set(args.pairs, cfg.rows, cfg.cols, cfg.sigma_f,
                                       cfg.sigma_t, pattern, snr, args.data_seed)
-    hyper = cge.TrainConfig(epochs=args.epochs, batch_size=args.batch)
     model = cge.train_cgan(pairs, hyper, seed=args.seed)
     cge.save_model(model, args.out)
     print(f"trained {args.epochs} epochs on {len(pairs)} pairs at {snr:g} dB; "

@@ -127,6 +127,8 @@ def map_to_grid(symbols: np.ndarray, pattern: PilotPattern) -> list[Frame]:
     symbols = np.asarray(symbols, dtype=np.complex64).ravel()
     data_cells = pattern.data_indices()
     per_frame = data_cells.size
+    if per_frame == 0:
+        raise ShapeError("the pilot pattern leaves no data cell")
     n_frames = max(1, -(-symbols.size // per_frame))
     frames = []
     for i in range(n_frames):

@@ -6,6 +6,29 @@ network graphs used here are fixed feed-forward chains, so gradients are
 computed from explicit per-layer cached inputs instead of a general tape.
 All operations are deterministic: identical inputs give bit-identical
 outputs.
+
+Conv kernels. A conv layer computes W @ im2col(x) per sample, on an
+(N, C*k*k, OH*OW) patch matrix. ``_im2col`` pads the input into a zeroed
+buffer and gathers the patches with one ``np.take`` per (sample, channel)
+row, in (u, v, row, column) tap order. The weight gradient sums over
+samples and cells with ``np.tensordot``; it keeps the contiguous operands
+that tensordot builds, because every transposed-operand form of that
+product was measured to change dw bytes on small shapes, where OpenBLAS
+switches to kernels that sum in another order.
+
+The adjoint col2im(W.T @ d), used for conv dx and the deconv forward, sums
+by output phase. Output cell (y, x) lies in phase (y % stride, x % stride);
+tap u of patch row a lands on row a*stride + u - pad, which is in phase
+(u - pad) % stride at plane row a + (u - pad) // stride, and likewise for
+columns. Each phase plane is stored flat with the patch grid's row length
+OW (wider, zero-filled, when a plane has more columns than OW), so a tap is
+one shifted copy of its dense patch plane into a zero-filled buffer and one
+dense add into the phase plane. Patch columns that fall outside the plane
+are zeroed first; they would otherwise wrap into a neighbouring row. The
+taps are added in the (u, v) order of a direct scatter-add, onto planes
+that start at +0.0, and adding a +0.0 never changes a sum that started
+there, so every output cell gets the same bytes as the scatter-add. One
+strided copy per phase then interleaves the planes into (N, C, H, W).
 """
 
 from __future__ import annotations
@@ -135,34 +158,20 @@ def _activate_grad(kind: str, z: np.ndarray, slope: float) -> np.ndarray:
 # im2col plumbing
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
-    """(N,C,H,W) -> (N, C*k*k, OH*OW) patch matrix."""
+    """(N,C,H,W) -> (N, C*k*k, OH*OW) patch matrix, OH and OW."""
     n, c, h, w = x.shape
     oh = conv_out_size(h, k, stride, pad)
     ow = conv_out_size(w, k, stride, pad)
     if oh < 1 or ow < 1:
         raise ShapeError(f"kernel {k} with stride {stride}, padding {pad} does not "
                          f"fit input {h}x{w}")
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride, :, :]
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, oh * ow)
-    return np.ascontiguousarray(cols), oh, ow
-
-
-def _col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add patches back to (N,C,H,W)."""
-    n, c, h, w = x_shape
-    oh = conv_out_size(h, k, stride, pad)
-    ow = conv_out_size(w, k, stride, pad)
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    cols6 = cols.reshape(n, c, k, k, oh, ow)
-    for u in range(k):
-        for v in range(k):
-            xp[:, :, u:u + stride * oh:stride, v:v + stride * ow:stride] += cols6[:, :, u, v]
-    if pad:
-        return np.ascontiguousarray(xp[:, :, pad:pad + h, pad:pad + w])
-    return xp
+    xp = np.zeros((n * c, h + 2 * pad, w + 2 * pad), x.dtype)
+    xp[:, pad:pad + h, pad:pad + w] = x.reshape(n * c, h, w)
+    u, v, a, b = np.ix_(range(k), range(k), range(0, stride * oh, stride),
+                        range(0, stride * ow, stride))
+    cells = ((u + a) * (w + 2 * pad) + v + b).ravel()  # patch order (u, v, a, b)
+    cols = np.take(xp.reshape(n * c, -1), cells, axis=1)
+    return cols.reshape(n, c * k * k, oh * ow), oh, ow
 
 
 def _as_batched(x: np.ndarray, rank: int):
@@ -190,8 +199,38 @@ def _conv_map(wmat: np.ndarray, x: np.ndarray, k: int, stride: int, pad: int):
 
 def _conv_adjoint(wmat: np.ndarray, d: np.ndarray, x_shape, k: int, stride: int,
                   pad: int) -> np.ndarray:
-    """col2im(W.T @ d) for d shaped (N, out, OH*OW); returns x_shape."""
-    return _col2im(np.matmul(wmat.T, d), x_shape, k, stride, pad)
+    """col2im(W.T @ d) for d shaped (N, out, OH*OW); returns x_shape.
+
+    The taps are summed by output phase, as the module docstring describes.
+    """
+    n, c, h, w = x_shape
+    oh = conv_out_size(h, k, stride, pad)
+    ow = conv_out_size(w, k, stride, pad)
+    rows, width = -(-h // stride), max(ow, -(-w // stride))
+    cols = np.matmul(wmat.T, d).reshape(n, c, k, k, oh, ow)
+    if width > ow:
+        cols = np.pad(cols, ((0, 0),) * 5 + ((0, width - ow),))
+    # tap t lands in phase (t - pad) % stride, shifted by (t - pad) // stride
+    taps = [((t - pad) % stride, (t - pad) // stride) for t in range(k)]
+    for v, (rx, dj) in enumerate(taps):  # these columns would wrap into another row
+        cols[:, :, :, v, :, :max(0, -dj)] = 0
+        cols[:, :, :, v, :, max(0, -(-(w - rx) // stride) - dj):] = 0
+    cols = cols.reshape(n, c, k, k, oh * width)
+    size = rows * width
+    planes = np.zeros((stride, stride, n, c, size), d.dtype)
+    shifted = np.empty((n, c, size), d.dtype)
+    for u, (ry, di) in enumerate(taps):
+        for v, (rx, dj) in enumerate(taps):
+            s = di * width + dj
+            lo, hi = max(0, s), max(0, s, min(size, oh * width + s))
+            shifted[:, :, :lo] = shifted[:, :, hi:] = 0
+            shifted[:, :, lo:hi] = cols[:, :, u, v, lo - s:hi - s]
+            planes[ry, rx] += shifted
+    out = np.empty(x_shape, d.dtype)
+    for ry, rx in np.ndindex(stride, stride):
+        out[:, :, ry::stride, rx::stride] = planes[ry, rx].reshape(
+            n, c, rows, width)[:, :, :-(-(h - ry) // stride), :-(-(w - rx) // stride)]
+    return out
 
 
 def _conv_forward(p: LayerParams, x: np.ndarray):
@@ -201,7 +240,7 @@ def _conv_forward(p: LayerParams, x: np.ndarray):
                          f"{p.weights.shape} expect {ci} (input shape {x.shape})")
     z, cols, oh, ow = _conv_map(p.weights.reshape(o, -1), x, k, p.stride,
                                 p.padding)
-    z = (z + p.bias[:, None]).reshape(x.shape[0], o, oh, ow)
+    z = np.add(z, p.bias[:, None], out=z).reshape(x.shape[0], o, oh, ow)
     return z, (x.shape, cols)
 
 

@@ -80,6 +80,7 @@ class PipelineConfig:
             raise ConfigError("snr_db list must be non-empty")
         if self.repetition < 1:
             raise ConfigError("repetition must be >= 1")
+        self.pilot_pattern()
         if self.sigma_f < 0 or self.sigma_t < 0:
             raise ConfigError("smoothing stds sigma_f and sigma_t must be >= 0")
         if self.timeout_ms <= 0:
@@ -109,8 +110,17 @@ class PipelineConfig:
         return self
 
     def pilot_pattern(self) -> PilotPattern:
-        return make_pilot_pattern(self.rows, self.cols, self.pilot_df,
-                                  self.pilot_dt, self.pilot_seed)
+        """The pilot lattice; spacings outside [1, extent] or a lattice that
+        leaves no data cell raise ConfigError."""
+        try:
+            pattern = make_pilot_pattern(self.rows, self.cols, self.pilot_df,
+                                         self.pilot_dt, self.pilot_seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if pattern.data_indices().size == 0:
+            raise ConfigError(f"pilot spacings ({self.pilot_df}, {self.pilot_dt}) "
+                              f"leave no data cell")
+        return pattern
 
     def to_dict(self) -> dict:
         return asdict(self)

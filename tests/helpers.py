@@ -11,6 +11,72 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
+def _ref_out_size(size: int, k: int, stride: int, pad: int) -> int:
+    return (size + 2 * pad - k) // stride + 1
+
+
+def reference_im2col(x: np.ndarray, k: int, stride: int, pad: int):
+    """(N,C,H,W) -> (N, C*k*k, OH*OW) patch matrix (reference oracle)."""
+    n, c, h, w = x.shape
+    oh = _ref_out_size(h, k, stride, pad)
+    ow = _ref_out_size(w, k, stride, pad)
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride, :, :]
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, oh * ow)
+    return np.ascontiguousarray(cols), oh, ow
+
+
+def reference_col2im(cols: np.ndarray, x_shape, k: int, stride: int,
+                     pad: int) -> np.ndarray:
+    """Adjoint of reference_im2col: one strided scatter-add per tap into a
+    padded buffer, then a crop (reference oracle)."""
+    n, c, h, w = x_shape
+    oh = _ref_out_size(h, k, stride, pad)
+    ow = _ref_out_size(w, k, stride, pad)
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    cols6 = cols.reshape(n, c, k, k, oh, ow)
+    for u in range(k):
+        for v in range(k):
+            xp[:, :, u:u + stride * oh:stride, v:v + stride * ow:stride] += cols6[:, :, u, v]
+    if pad:
+        return np.ascontiguousarray(xp[:, :, pad:pad + h, pad:pad + w])
+    return xp
+
+
+def reference_layer(kind: str, weights: np.ndarray, bias: np.ndarray, stride: int,
+                    pad: int, x: np.ndarray, dz: np.ndarray):
+    """(z, dx, dw, db) of one linear conv or deconv layer on a batch, with
+    im2col/col2im and tensordot weight gradients (reference oracle)."""
+    n = x.shape[0]
+    k = weights.shape[-1]
+    if kind == "conv":
+        o, ci = weights.shape[:2]
+        wmat = weights.reshape(o, -1)
+        cols, oh, ow = reference_im2col(x, k, stride, pad)
+        z = (np.matmul(wmat, cols) + bias[:, None]).reshape(n, o, oh, ow)
+        dz2 = dz.reshape(n, o, -1)
+        dw = np.tensordot(dz2, cols, axes=([0, 2], [0, 2])).reshape(weights.shape)
+        db = dz2.sum(axis=(0, 2))
+        dx = reference_col2im(np.matmul(wmat.T, dz2), x.shape, k, stride, pad)
+        return z, dx, dw, db
+    ci, co = weights.shape[:2]
+    wmat = weights.reshape(ci, -1)
+    _, _, h, w = x.shape
+    oh = (h - 1) * stride - 2 * pad + k
+    ow = (w - 1) * stride - 2 * pad + k
+    z = reference_col2im(np.matmul(wmat.T, x.reshape(n, ci, h * w)),
+                         (n, co, oh, ow), k, stride, pad)
+    z += bias[None, :, None, None]
+    cols_dz, _, _ = reference_im2col(dz, k, stride, pad)
+    dx = np.matmul(wmat, cols_dz).reshape(x.shape)
+    dw = np.tensordot(x.reshape(n, ci, h * w), cols_dz,
+                      axes=([0, 2], [0, 2])).reshape(weights.shape)
+    db = dz.sum(axis=(0, 2, 3))
+    return z, dx, dw, db
+
+
 def rel_err(a: float, b: float, floor: float = 1e-3) -> float:
     return abs(a - b) / max(abs(a), abs(b), floor)
 

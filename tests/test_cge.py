@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lammsc import cge, channel, nn
-from lammsc.errors import FormatError, ShapeError
+from lammsc.errors import ConfigError, FormatError, ShapeError
 
 
 CGE1_PINNED_SHA256 = ("6900d431c8028a7e282965cc67a6b3a5"
@@ -15,6 +15,10 @@ CGE1_PINNED_SHA256 = ("6900d431c8028a7e282965cc67a6b3a5"
 # weights after test_tiny_training_pinned's one-epoch run; they must not drift
 TINY_WEIGHTS_SHA256 = ("6349b481bcfd795545e12901270a61c0"
                        "eb150518786fecc1c81266a56194ae32")
+
+# cge.estimate on a batch of 8 conditions through an untrained 32x32 model
+ESTIMATE_32_PINNED_SHA256 = ("dec8174b227d641ddabef13334e38057"
+                             "bad62cf88fba862ed8e75a09c5661ede")
 
 
 def small_pattern(rows=16, cols=16):
@@ -119,6 +123,13 @@ class TestEstimate:
         per_grid = np.stack([cge.estimate(model, cond) for cond in conds])
         assert batched.tobytes() == per_grid.tobytes()
 
+    def test_batch_bytes_pinned(self):
+        pattern = channel.make_pilot_pattern(32, 32, 4, 4, seed=5)
+        pairs = cge.make_training_set(8, 32, 32, 4.0, 4.0, pattern, 10.0, seed=9)
+        est = cge.estimate(cge.untrained_model(32, 32, seed=6),
+                           np.stack([cond for cond, _ in pairs]))
+        assert hashlib.sha256(est.tobytes()).hexdigest() == ESTIMATE_32_PINNED_SHA256
+
     @pytest.mark.parametrize("shape", [(3, 4, 16, 16), (3, 2, 32, 32),
                                        (1, 3, 4, 32, 32)])
     def test_batch_for_other_grid_rejected(self, shape):
@@ -162,6 +173,18 @@ class TestTraining:
         digest = hashlib.sha256(b"".join(p.tobytes() for p in params)).hexdigest()
         assert digest == TINY_WEIGHTS_SHA256
         assert model.history.val_nmse == [0.9998433650886734]
+
+    @pytest.mark.parametrize("hyper, extent, message", [
+        (cge.TrainConfig(epochs=0), 16, "epoch"),
+        (cge.TrainConfig(batch_size=0), 16, "batch"),
+        (cge.TrainConfig(epochs=1), 24, "divisible by 16")],
+        ids=["epochs", "batch", "extents"])
+    def test_bad_setup_rejected_before_any_draw(self, monkeypatch, hyper, extent,
+                                                message):
+        data = small_dataset(64, rows=extent, cols=extent)
+        monkeypatch.setattr(cge, "_init_model", None)  # a draw would raise TypeError
+        with pytest.raises(ConfigError, match=message):
+            cge.train_cgan(data, hyper, seed=0)
 
     def test_small_dataset_rejected(self):
         with pytest.raises(ValueError, match="64"):

@@ -182,6 +182,20 @@ class TestDatasetFile:
     def make_set(self, n=3):
         return [channel.gen_channel(100 + i, 16, 16, 2.0, 2.0) for i in range(n)]
 
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "set.lmch"
+        channel.save_channel_dataset(path, self.make_set())
+        before = path.read_bytes()
+
+        def chunks():
+            yield bytes(64)
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            channel.write_framed(path, b"LMCH", 1, {"count": 9}, chunks())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["set.lmch"]
+
     def test_round_trip_bit_exact(self, tmp_path):
         path = tmp_path / "set.lmch"
         original = self.make_set()

@@ -220,6 +220,29 @@ BAD_BASE = ("name,age,identity,gender,interests,aliases,focus\n"
             "Mike,x,,,,,\nJane,27,,,,,\n")
 
 
+class TestSetupErrors:
+    """An invalid set-up exits 1 with 'config error:' before any work."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--text", "hi", "--pilot-df", "1", "--pilot-dt", "1"], "no data cell"),
+        (["run", "--text", "hi", "--pilot-df", "0"], ">= 1"),
+        (["run", "--text", "hi", "--pilot-df", "64"], "exceed"),
+        (["train-cge", "--out", "{tmp}/m.cge", "--epochs", "0"], "epoch"),
+        (["train-cge", "--out", "{tmp}/m.cge", "--batch", "0"], "batch"),
+        (["train-cge", "--out", "{tmp}/m.cge", "--rows", "24", "--cols", "24"],
+         "divisible by 16"),
+        (["train-cge", "--out", "{tmp}/m.cge", "--pairs", "10"], "64 pairs"),
+    ], ids=["all-pilot", "zero-spacing", "spacing-over-extent", "zero-epochs",
+            "zero-batch", "extents", "few-pairs"])
+    def test_config_error(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.setattr(cge, "make_training_set", None)  # a call would raise
+        code, _, stderr = run_cli(capsys, *[a.format(tmp=tmp_path) for a in argv])
+        assert code == 1
+        assert stderr.startswith("config error: "), stderr
+        assert message in stderr
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestLoaderErrors:
     """A bad input file exits with its taxonomy code, never 'unexpected'."""
 

@@ -104,6 +104,11 @@ class TestMapToGrid:
         flat = grid.ravel()
         assert np.all(flat[frames[0].data_cells[10:]] == 0)
 
+    def test_all_pilot_lattice_rejected(self):
+        pattern = channel.make_pilot_pattern(16, 16, 1, 1)
+        with pytest.raises(ShapeError, match="no data cell"):
+            codec.map_to_grid(np.ones(4, np.complex64), pattern)
+
 
 class TestEqualize:
     def test_perfect_csi_inverts_constant_gain(self):

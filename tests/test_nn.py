@@ -6,7 +6,7 @@ import pytest
 from lammsc import nn
 from lammsc.errors import ShapeError, TrainingError
 
-from helpers import check_grad, fd_gradient, rel_err
+from helpers import check_grad, fd_gradient, reference_layer, rel_err
 
 
 def make_layer(kind, in_ch, out_ch, k, stride, pad, activation="linear", seed=0):
@@ -106,6 +106,33 @@ class TestDeconv2d:
             rhs = float(np.sum(x.astype(np.float64)
                                * nn.deconv2d(dec, y).astype(np.float64)))
             assert rel_err(lhs, rhs) < 1e-5
+
+
+class TestReferenceKernels:
+    """Forward output, dx, dw and db of one linear layer are byte-equal to the
+    im2col/col2im/tensordot oracle in tests/helpers.py."""
+
+    @pytest.mark.parametrize("extents", [(8, 8), (7, 9)], ids=["even", "odd"])
+    @pytest.mark.parametrize("batch", [1, 6, 16])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("kind,in_ch,out_ch", [("conv", 3, 5), ("conv", 4, 1),
+                                                   ("deconv", 3, 5)])
+    def test_bytes_match_oracle(self, kind, in_ch, out_ch, k, stride, pad, batch,
+                                extents):
+        rng = np.random.default_rng([k, stride, pad, batch, extents[1], out_ch])
+        layer = make_layer(kind, in_ch, out_ch, k, stride, pad, seed=k)
+        layer.bias[:] = rng.standard_normal(out_ch)
+        net = nn.Sequential([layer])
+        x = rng.standard_normal((batch, in_ch) + extents).astype(np.float32)
+        z = net.forward(x, record=True)
+        dz = rng.standard_normal(z.shape).astype(np.float32)
+        dx, (dw, db) = net.backward(dz)
+        want = reference_layer(kind, layer.weights, layer.bias, stride, pad, x, dz)
+        for name, got, ref in zip(("z", "dx", "dw", "db"), (z, dx, dw, db), want):
+            assert got.shape == ref.shape, name
+            assert got.tobytes() == ref.tobytes(), name
 
 
 class TestActivations:

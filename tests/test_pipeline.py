@@ -56,6 +56,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field):
             pipeline.PipelineConfig(**{field: value}).validate()
 
+    @pytest.mark.parametrize("df, dt, message", [
+        (1, 1, "no data cell"), (0, 4, ">= 1"), (4, 0, ">= 1"), (64, 4, "exceed"),
+        (4, 33, "exceed")])
+    def test_pilot_lattice_rejected(self, df, dt, message):
+        cfg = pipeline.PipelineConfig(pilot_df=df, pilot_dt=dt)
+        with pytest.raises(ConfigError, match=message):
+            cfg.validate()
+        with pytest.raises(ConfigError, match=message):
+            cfg.pilot_pattern()
+
     @pytest.mark.parametrize("key, value", [
         ("rows", "32"), ("rows", 32.0), ("rows", True), ("sigma_f", "4"),
         ("lkb_enabled", 1), ("estimator", None), ("snr_db", 10.0),
