@@ -321,9 +321,9 @@ def save_model(model: CganModel, path) -> None:
                   for a in (p.weights, p.bias)))
 
 
-def _read_layers(specs, body: bytes, offset: int):
+def _read_layers(path, specs, body: bytes, offset: int):
     """Layers from their header specs; a bad spec raises KeyError, TypeError
-    or ValueError."""
+    or ValueError, and missing or non-finite weight data a FormatError."""
     layers = []
     for spec in specs:
         w_shape = tuple(spec["w_shape"])
@@ -334,11 +334,13 @@ def _read_layers(specs, body: bytes, offset: int):
         b_count = int(np.prod(b_shape))
         need = (w_count + b_count) * 4
         if offset + need > len(body):
-            raise FormatError("model file is truncated inside the weight data")
+            raise FormatError(f"{path}: model file is truncated inside the weight data")
         w = np.frombuffer(body[offset:offset + w_count * 4], dtype="<f4")
         offset += w_count * 4
         b = np.frombuffer(body[offset:offset + b_count * 4], dtype="<f4")
         offset += b_count * 4
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise FormatError(f"{path}: non-finite weight data")
         layers.append(nn.LayerParams(spec["kind"], w.reshape(w_shape).copy(),
                                      b.reshape(b_shape).copy(), spec["stride"],
                                      spec["padding"], spec["activation"],
@@ -354,8 +356,9 @@ def load_model(path) -> CganModel:
         if not isinstance(hyper.batch_size, int) or hyper.batch_size < 1:
             raise ValueError(f"batch_size {hyper.batch_size!r} is not a positive int")
         history = TrainHistory(**header["history"])
-        gen_layers, offset = _read_layers(header["generator"], body, 0)
-        disc_layers, offset = _read_layers(header["discriminator"], body, offset)
+        gen_layers, offset = _read_layers(path, header["generator"], body, 0)
+        disc_layers, offset = _read_layers(path, header["discriminator"], body,
+                                            offset)
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed CGE model header ({exc})") from exc
     if offset != len(body):

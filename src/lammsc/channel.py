@@ -3,7 +3,11 @@
 A "grid" is a 2-D complex64 array (subcarrier rows x time-symbol columns).
 Fading is flat per cell: the received grid is y = H * x + n. Spatial
 correlation comes from circularly smoothing an i.i.d. CN(0,1) draw with a
-separable Gaussian kernel and re-normalizing to unit mean power.
+separable Gaussian kernel (taps truncated at 3 sigma) and re-normalizing to
+unit mean power. The smoothing along each axis is one product with a
+circulant matrix, h = Cf @ h @ Ct.T in complex128, cached per (extent,
+sigma); its rows hold the taps wrapped around the extent, summed where the
+kernel is wider than the grid.
 
 Dataset file format (magic ``LMCH``, version 1):
   4 bytes magic, 1 byte version, little-endian uint32 header length,
@@ -13,17 +17,16 @@ Dataset file format (magic ``LMCH``, version 1):
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import json
 import math
-import os
-import secrets
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, ShapeError
+from .fileio import atomic_open
 
 NO_NOISE = math.inf  # snr_db sentinel that disables additive noise
 
@@ -99,15 +102,21 @@ def _gauss_taps(sigma: float) -> np.ndarray:
     return taps / taps.sum()
 
 
-def _circular_smooth(plane: np.ndarray, sigma: float, axis: int) -> np.ndarray:
-    if sigma <= 0.0:
-        return plane
+@functools.lru_cache(maxsize=64)
+def _smoothing_matrix(extent: int, sigma: float) -> np.ndarray:
+    """Circulant C with C @ x == sum over taps of w * np.roll(x, off, axis=0).
+
+    Built from rolled identities added in tap order, so where the kernel is
+    wider than the extent the wrapped taps sum as the rolls would. Read-only,
+    because every caller shares the cached array.
+    """
     taps = _gauss_taps(sigma)
     radius = taps.size // 2
-    out = np.zeros_like(plane)
+    mat = np.zeros((extent, extent), np.complex128)
     for off, w in zip(range(-radius, radius + 1), taps):
-        out += w * np.roll(plane, off, axis=axis)
-    return out
+        mat += w * np.roll(np.eye(extent), off, axis=0)
+    mat.flags.writeable = False
+    return mat
 
 
 def gen_channel(seed: int, rows: int, cols: int, sigma_f: float = 0.0,
@@ -120,8 +129,8 @@ def gen_channel(seed: int, rows: int, cols: int, sigma_f: float = 0.0,
     rng = np.random.default_rng(seed)
     h = (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
     h /= np.sqrt(2.0)
-    h = _circular_smooth(h, sigma_f, axis=0)
-    h = _circular_smooth(h, sigma_t, axis=1)
+    h = h if sigma_f <= 0 else _smoothing_matrix(rows, sigma_f) @ h
+    h = h if sigma_t <= 0 else h @ _smoothing_matrix(cols, sigma_t).T
     h *= np.sqrt(h.size / np.sum(np.abs(h) ** 2))
     return ChannelRealization(h.astype(np.complex64), float(sigma_f), float(sigma_t),
                               int(seed))
@@ -207,25 +216,14 @@ def nmse(est: np.ndarray, truth: np.ndarray) -> float:
 # framed files: magic, version byte, uint32 header length, JSON header, body
 
 def write_framed(path, magic: bytes, version: int, header: dict, chunks) -> None:
-    """Write one framed file; ``chunks`` are the body's byte strings in order.
-
-    The bytes go to a temporary file in the same directory, which then
-    replaces ``path``; on any failure the temporary file is removed and an
-    existing file at ``path`` is left as it was.
-    """
+    """Write one framed file atomically (``fileio.atomic_open``); ``chunks``
+    are the body's byte strings in order."""
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    tmp = f"{os.fspath(path)}.{secrets.token_hex(8)}.tmp"
-    try:
-        with open(tmp, "xb") as fh:
-            fh.write(magic + struct.pack("<BI", version, len(blob)))
-            fh.write(blob)
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    with atomic_open(path, "wb") as fh:
+        fh.write(magic + struct.pack("<BI", version, len(blob)))
+        fh.write(blob)
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def read_framed(path, magic: bytes, version: int, kind: str) -> tuple[dict, bytes]:

@@ -246,7 +246,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"unexpected error: {exc}", file=sys.stderr)
+        notes = "".join(f" ({note})" for note in getattr(exc, "__notes__", ()))
+        print(f"unexpected error: {exc}{notes}", file=sys.stderr)
         return 2
 
 

@@ -166,14 +166,19 @@ def hard_decide(symbols: np.ndarray) -> np.ndarray:
 
 
 def ser(sent: np.ndarray, decided: np.ndarray) -> float:
-    """Fraction of QPSK decisions that differ from the sent constellation points."""
+    """Fraction of QPSK decisions that differ from the sent constellation points.
+
+    A symbol is in error when the sign of its real or imaginary part differs,
+    with ``hard_decide``'s quadrants (zero counts as positive, NaN as negative).
+    """
     sent = np.asarray(sent).ravel()
     decided = np.asarray(decided).ravel()
     if sent.size != decided.size:
         raise ShapeError(f"ser: {sent.size} sent vs {decided.size} decided symbols")
     if sent.size == 0:
         return 0.0
-    errors = hard_decide(sent) != hard_decide(decided)
+    errors = (((sent.real >= 0.0) != (decided.real >= 0.0))
+              | ((sent.imag >= 0.0) != (decided.imag >= 0.0)))
     return float(np.count_nonzero(errors)) / sent.size
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CorpusError
+from .fileio import atomic_open
 from .mma import ScenePayload, canonical_scene, scene_from_json, scene_to_json
 
 DESCRIPTOR_POOL = ("a dog", "a cat", "a bird")
@@ -47,7 +48,7 @@ def synthetic_corpus(count: int, seed: int = 0) -> list[ScenePayload]:
 
 
 def save_corpus(path, scenes: list[ScenePayload]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for scene in scenes:
             fh.write(scene_to_json(scene))
             fh.write("\n")

@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, ProtocolError
+from .fileio import atomic_open
 from .wire import Endpoint, post_json, require_field
 
 _PLACEHOLDER = ""
@@ -79,7 +80,7 @@ def default_prompt_base() -> PromptBase:
 
 
 def save_prompt_base(path, base: PromptBase) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_PROMPT_FIELDS)
         for p in base.profiles.values():

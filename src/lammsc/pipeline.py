@@ -6,20 +6,25 @@ demodulation -> receiver personalization -> payload, recording every
 intermediate. Both `run_pipeline` and `sweep` go through one per-message
 pass: the text stages (caption, extract, reference) and the framing run once
 per message; channel and noise are drawn once per (message, snr) and shared
-by every estimator arm; estimation onward runs per arm. Each record gets a
-copy of the shared stages' results, timings, flags and first error.
-`run_pipeline` is the pass with one draw and one arm. A sweep seeds each
-(message, snr) draw from the master seed, so the whole run is a pure
-function of (config, corpus, master seed).
+by every estimator arm; estimation onward runs per arm. The CGE arm's gains
+for all of a message's draws and frames come from one `cge.estimate` batch,
+and the reference text is embedded once per message. The first record that
+needs either pays for it in its timings; a call that fails is repeated by
+each record that needs it, so every such record keeps its own error at its
+own stage. Each record gets a copy of the shared stages' results, timings,
+flags and first error. `run_pipeline` is the pass with one draw and one arm.
+A sweep seeds each (message, snr) draw from the master seed, so the whole
+run is a pure function of (config, corpus, master seed).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -27,6 +32,7 @@ from . import cge, codec, semeval
 from .channel import (NO_NOISE, PilotPattern, apply_channel, gen_channel,
                       ls_estimate, make_pilot_pattern, nmse)
 from .errors import ConfigError, LamMscError
+from .fileio import atomic_open
 from .lkb import (Profile, default_prompt_base, load_prompt_base,
                   personalize_extract, personalize_recover, personalize_remote)
 from .mma import ScenePayload, scene_to_text, text_to_scene, transform_remote
@@ -174,6 +180,8 @@ class TransmissionRecord:
     recovered_payload: object = None
     cosine: float = 0.0
     correct: bool = False
+    # frame_ser, ser and nmse are set together once the gains are estimated;
+    # an empty frame_ser means the transmit stage failed before that
     frame_ser: list = field(default_factory=list)
     ser: float = 0.0
     nmse: float = 0.0
@@ -277,7 +285,11 @@ def load_profiles(cfg: PipelineConfig) -> tuple[Profile, Profile]:
 # per-message pass: one message through every (snr, seed) draw and arm
 
 def _attempt(record: TransmissionRecord, stage: str, fn, fallback):
-    """Run one stage, timing it and capturing its error on the record."""
+    """Run one stage, timing it and capturing its error on the record.
+
+    An error outside (LamMscError, ValueError) is a bug, not a channel
+    outcome: it gets a note naming the stage and is re-raised unchanged.
+    """
     start = time.perf_counter()
     try:
         return fn()
@@ -285,6 +297,9 @@ def _attempt(record: TransmissionRecord, stage: str, fn, fallback):
         if record.error_stage is None:
             record.error_stage, record.error_message = stage, str(exc)
         return fallback
+    except Exception as exc:
+        exc.add_note(f"in pipeline stage {stage!r}")
+        raise
     finally:
         elapsed = time.perf_counter() - start
         record.timings[stage] = record.timings.get(stage, 0.0) + elapsed
@@ -306,32 +321,40 @@ def _draw_channel(cfg: PipelineConfig, frames, snr_db: float, seed: int):
                    for i, (frame, h) in enumerate(zip(frames, gains))]
 
 
-def _estimate_gains(estimator: str, ys, gains, pattern, model):
+def _cge_batch(model, pattern, channels) -> list:
+    """CGE gains for every frame of every drawn channel from one
+    ``cge.estimate`` batch, split back per draw (None where the draw failed)."""
+    ys = [y for channel in channels if channel for y in channel[1]]
+    est = iter(cge.estimate(model, np.stack([cge.make_condition(y, pattern)
+                                             for y in ys])))
+    return [channel and [next(est) for _ in channel[1]] for channel in channels]
+
+
+def _estimate_gains(estimator: str, ys, gains, pattern, cge_gains):
     if estimator == "perfect":
         return gains
     if estimator == "ls":
         return [ls_estimate(y, pattern) for y in ys]
-    if estimator == "cge":  # every frame in one batch
-        return cge.estimate(model, np.stack([cge.make_condition(y, pattern)
-                                             for y in ys]))
+    if estimator == "cge":
+        return cge_gains()
     return [np.ones_like(h) for h in gains]
 
 
 def _receive(rec: TransmissionRecord, cfg: PipelineConfig, frames, channel,
-             pattern, model) -> str:
+             pattern, cge_gains) -> str:
     """Estimate, equalize and demodulate one arm's frames; returns the text."""
     gains, ys = channel
-    h_ests = _estimate_gains(rec.estimator, ys, gains, pattern, model)
+    h_ests = _estimate_gains(rec.estimator, ys, gains, pattern, cge_gains)
     noise_var = 0.0 if rec.snr_db == NO_NOISE else 10.0 ** (-rec.snr_db / 10.0)
-    received, nmses, errors = [], [], 0
+    received, nmses, frame_ser = [], [], []
     for frame, h, y, h_est in zip(frames, gains, ys, h_ests):
         nmses.append(nmse(h_est, h))
         got = frame.extract(codec.equalize(y, h_est, noise_var, cfg.equalizer))
         received.append(got)
-        rec.frame_ser.append(codec.ser(frame.extract(frame.grid), got))
-        errors += rec.frame_ser[-1] * frame.occupancy
-    rec.nmse = float(np.mean(nmses))
-    rec.ser = errors / sum(frame.occupancy for frame in frames)
+        frame_ser.append(codec.ser(frame.extract(frame.grid), got))
+    rec.frame_ser, rec.nmse = frame_ser, float(np.mean(nmses))
+    rec.ser = (sum(s * frame.occupancy for s, frame in zip(frame_ser, frames))
+               / sum(frame.occupancy for frame in frames))
     stream_rx = codec.demodulate(np.concatenate(received), cfg.repetition)
     if stream_rx.missing_terminator:
         rec.flags.append("missing-terminator")
@@ -343,7 +366,8 @@ def _run_message(payload, cfg: PipelineConfig, stages, pattern, model, draws,
     """One message through every (snr_db, seed) draw and estimator arm.
 
     Caption, extract, reference and framing run once per message; channel and
-    noise once per draw, shared by the arms; estimation onward once per arm.
+    noise once per draw, shared by the arms; one CGE batch covers every draw;
+    the reference is embedded once; estimation onward runs once per arm.
     Each record is forked from the shared ones, so it carries their results,
     timings, flags and first error. Records come back draw-major.
     """
@@ -360,22 +384,27 @@ def _run_message(payload, cfg: PipelineConfig, stages, pattern, model, draws,
     frames = _attempt(base, "transmit", lambda: codec.map_to_grid(codec.modulate(
         codec.tokenize(base.semantics), cfg.repetition), pattern), None)
     modality = payload.modality if isinstance(payload, ScenePayload) else "image"
+    drawn = [_fork(base, snr_db=snr_db, seed=seed) for snr_db, seed in draws]
+    channels = [frames and _attempt(  # None once framing or the draw failed
+        draw, "transmit", partial(_draw_channel, cfg, frames, draw.snr_db, draw.seed),
+        None) for draw in drawn]
+    # computed by the first record that needs them; a failed call is not cached,
+    # so each later record retries it and records its own error
+    cge_batch = cache(lambda: _cge_batch(model, pattern, channels))
+    reference = cache(lambda: embed(base.reference_text))
     records = []
-    for snr_db, seed in draws:
-        draw = _fork(base, snr_db=snr_db, seed=seed)
-        channel = frames and _attempt(  # None once framing or the draw failed
-            draw, "transmit", lambda: _draw_channel(cfg, frames, snr_db, seed), None)
+    for k, (draw, channel) in enumerate(zip(drawn, channels)):
         for estimator in arms:
             rec = _fork(draw, estimator=estimator)
             if channel:
                 rec.received_text = _attempt(rec, "transmit", lambda: _receive(
-                    rec, cfg, frames, channel, pattern, model), "")
+                    rec, cfg, frames, channel, pattern, lambda: cge_batch()[k]), "")
             rec.recovered_text = _attempt(rec, "personalize-recover", lambda: recover(
                 rec.received_text), rec.received_text)
             rec.recovered_payload = _attempt(rec, "modal-recovery", lambda: to_payload(
                 rec.recovered_text, modality), None)
             rec.cosine = _attempt(rec, "scoring", lambda: semeval.cosine(
-                embed(rec.reference_text), embed(rec.recovered_text)), 0.0)
+                reference(), embed(rec.recovered_text)), 0.0)
             rec.correct = rec.cosine > cfg.threshold
             records.append(rec)
     return records
@@ -403,7 +432,10 @@ def sweep(cfg: PipelineConfig, messages) -> SweepReport:
     """Run every (snr, estimator) arm over the corpus with paired seeds.
 
     Each message makes one per-message pass over all SNRs and arms; only
-    (cosine, nmse, ser, failed) of each record is kept.
+    (cosine, nmse, ser, failed) of each record is kept. A record whose
+    transmit failed before any channel estimate (empty ``frame_ser``) counts
+    in accuracy, mean_cosine and n but not in mean_nmse or mean_ser; a cell
+    with no estimate at all reports them as nan.
     """
     messages = list(messages)
     if not messages:
@@ -420,16 +452,23 @@ def sweep(cfg: PipelineConfig, messages) -> SweepReport:
     for idx, payload in enumerate(messages):
         draws = [(snr, derive_seed(cfg.master_seed, idx, _snr_key(snr)))
                  for snr in snrs]
-        records = _run_message(payload, cfg, stages, pattern, model, draws, arms)
+        try:
+            records = _run_message(payload, cfg, stages, pattern, model, draws, arms)
+        except Exception as exc:
+            exc.add_note(f"in sweep message {idx}")
+            raise
         for cell, rec in zip(results.values(), records):
-            cell.append((rec.cosine, rec.nmse, rec.ser, rec.error_stage is not None))
+            estimate = (rec.nmse, rec.ser) if rec.frame_ser else None
+            cell.append((rec.cosine, estimate, rec.error_stage is not None))
     rows, failures = [], {}
     for (snr, est), cell in results.items():
-        scores, nmses, sers, failed = zip(*cell)
+        scores, estimates, failed = zip(*cell)
+        estimates = [e for e in estimates if e is not None]
+        mean_nmse, mean_ser = ([float(np.mean(v)) for v in zip(*estimates)]
+                               if estimates else (math.nan, math.nan))
         accuracy = semeval.accuracy_from_scores(scores, cfg.threshold)
         rows.append(SweepRow(snr, est, accuracy, float(np.mean(scores)),
-                             float(np.mean(nmses)), float(np.mean(sers)),
-                             len(messages)))
+                             mean_nmse, mean_ser, len(messages)))
         if any(failed):
             failures[f"{_snr_key(snr)}/{est}"] = sum(failed)
     return SweepReport(rows, cfg.fingerprint(), cfg.master_seed, failures)
@@ -446,7 +485,7 @@ def format_report(report: SweepReport) -> str:
 
 def write_report(report: SweepReport, path) -> None:
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(format_report(report))
     except OSError as exc:
         raise LamMscError(f"cannot write report to {path}: {exc}") from exc

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from lammsc.channel import ChannelRealization, _gauss_taps
+
 
 def fnv1a64(data: bytes) -> int:
     """64-bit FNV-1a of a byte string, one byte at a time (reference oracle)."""
@@ -9,6 +11,33 @@ def fnv1a64(data: bytes) -> int:
     for b in data:
         h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def reference_circular_smooth(plane: np.ndarray, sigma: float,
+                              axis: int) -> np.ndarray:
+    """Circular Gaussian smoothing as a sum of weighted rolls, one per tap
+    (reference oracle)."""
+    if sigma <= 0.0:
+        return plane
+    taps = _gauss_taps(sigma)
+    radius = taps.size // 2
+    out = np.zeros_like(plane)
+    for off, w in zip(range(-radius, radius + 1), taps):
+        out += w * np.roll(plane, off, axis=axis)
+    return out
+
+
+def reference_gen_channel(seed: int, rows: int, cols: int, sigma_f: float,
+                          sigma_t: float) -> ChannelRealization:
+    """channel.gen_channel with roll-loop smoothing (reference oracle)."""
+    rng = np.random.default_rng(seed)
+    h = (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+    h /= np.sqrt(2.0)
+    h = reference_circular_smooth(h, sigma_f, axis=0)
+    h = reference_circular_smooth(h, sigma_t, axis=1)
+    h *= np.sqrt(h.size / np.sum(np.abs(h) ** 2))
+    return ChannelRealization(h.astype(np.complex64), float(sigma_f), float(sigma_t),
+                              int(seed))
 
 
 def _ref_out_size(size: int, k: int, stride: int, pad: int) -> int:

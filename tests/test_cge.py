@@ -219,6 +219,17 @@ class TestPersistence:
         cge.save_model(cge.untrained_model(16, 16, seed=3), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == CGE1_PINNED_SHA256
 
+    @pytest.mark.parametrize("net, array, value", [
+        ("generator", "weights", np.nan), ("discriminator", "bias", np.inf)])
+    def test_non_finite_weights_rejected(self, tmp_path, net, array, value):
+        model = cge.untrained_model(16, 16, seed=3)
+        getattr(getattr(model, net).layers[1], array).flat[2] = value
+        path = tmp_path / "model.cge"
+        cge.save_model(model, path)  # written through channel.write_framed
+        with pytest.raises(FormatError, match="non-finite") as info:
+            cge.load_model(path)
+        assert str(path) in str(info.value)
+
     def test_truncated_file_rejected(self, tmp_path):
         model = self.make_model()
         path = tmp_path / "model.cge"

@@ -8,6 +8,8 @@ from scipy import stats
 from lammsc import channel
 from lammsc.errors import FormatError, ShapeError
 
+from helpers import reference_gen_channel
+
 
 LMCH_PINNED_SHA256 = ("7fd93339a939e1c347957f2b19473f4d"
                       "cad3f144178aafe485995d35ebdb8c20")
@@ -66,6 +68,21 @@ class TestGenChannel:
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError, match="4x4"):
             channel.gen_channel(0, 3, 32)
+
+    @pytest.mark.parametrize("sigma_f", [0.0, 0.5, 2.0, 4.0, 6.0])
+    def test_bytes_match_roll_oracle(self, sigma_f):
+        # extents 4 and 7 at sigma >= 2 give kernels wider than the grid,
+        # whose wrapped taps must sum as the rolls do
+        extents = (4, 7, 16, 32, 64)
+        for rows in extents:
+            for cols in extents:
+                for sigma_t in (0.0, 0.5, 2.0, 4.0, 6.0):
+                    for seed in range(3):
+                        got = channel.gen_channel(seed, rows, cols, sigma_f, sigma_t)
+                        want = reference_gen_channel(seed, rows, cols, sigma_f,
+                                                     sigma_t)
+                        assert got.gains.tobytes() == want.gains.tobytes(), (
+                            rows, cols, sigma_f, sigma_t, seed)
 
 
 class TestApplyChannel:

@@ -243,6 +243,18 @@ class TestSetupErrors:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestUnexpectedError:
+    def test_notes_printed(self, capsys, monkeypatch, corpus_path):
+        def buggy(scene):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(pipeline, "scene_to_text", buggy)
+        code, _, stderr = run_cli(capsys, "sweep", "--corpus", corpus_path)
+        assert code == 2
+        assert stderr == ("unexpected error: division by zero (in pipeline stage "
+                          "'modal-transform') (in sweep message 0)\n")
+
+
 class TestLoaderErrors:
     """A bad input file exits with its taxonomy code, never 'unexpected'."""
 

@@ -205,6 +205,21 @@ class TestSer:
         with pytest.raises(ShapeError):
             codec.ser(np.ones(4, np.complex64), np.ones(5, np.complex64))
 
+    def test_counts_hard_decide_disagreements(self):
+        # every pair of parts from zeros of both signs, NaN, infinities and
+        # tiny and unit values, against the hard decisions on both sides
+        parts = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-40, -1e-40,
+                          1.0, -1.0], np.float32)
+        re, im = np.meshgrid(parts, parts)
+        points = np.empty(re.size, np.complex128)
+        points.real, points.imag = re.ravel(), im.ravel()
+        sent = np.repeat(points, points.size)
+        decided = np.tile(points, points.size)
+        for dtype in (np.complex64, np.complex128):
+            s, d = sent.astype(dtype), decided.astype(dtype)
+            expected = np.count_nonzero(codec.hard_decide(s) != codec.hard_decide(d))
+            assert codec.ser(s, d) == expected / sent.size
+
     def test_awgn_ten_db_matches_closed_form(self):
         # per-rail error Q(sqrt(snr)) at snr 10 dB, SER = 1-(1-p)^2
         rng = np.random.default_rng(6)

@@ -6,9 +6,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from lammsc import cge, codec, corpus, pipeline
+from lammsc import cge, codec, corpus, lkb, pipeline, semeval
 from lammsc.channel import NO_NOISE
-from lammsc.errors import ConfigError, CorpusError
+from lammsc.errors import ConfigError, CorpusError, LamMscError
 
 
 def lossless_cfg(**overrides):
@@ -256,6 +256,36 @@ class TestPerMessagePass:
         assert sum(frames_per_message) > len(messages)  # several frames each
         assert calls["gen_channel"] == 3 * sum(frames_per_message)
 
+    def test_one_cge_batch_and_reference_embed_per_message(
+            self, monkeypatch, scenes, multiframe_cfg):
+        batches, embeds = [], Counter()
+        estimate, embed = cge.estimate, semeval.embed
+
+        def counted_estimate(model, condition):
+            batches.append(len(condition))
+            return estimate(model, condition)
+
+        def counted_embed(text):
+            embeds["calls"] += 1
+            return embed(text)
+
+        map_to_grid = codec.map_to_grid
+        frames_per_message = []
+
+        def framing(*args):
+            frames = map_to_grid(*args)
+            frames_per_message.append(len(frames))
+            return frames
+
+        monkeypatch.setattr(cge, "estimate", counted_estimate)
+        monkeypatch.setattr(semeval, "embed", counted_embed)
+        monkeypatch.setattr(codec, "map_to_grid", framing)
+        messages = scenes[:3]
+        pipeline.sweep(multiframe_cfg, messages)
+        snrs, arms = len(multiframe_cfg.snr_db), len(multiframe_cfg.estimators)
+        assert batches == [snrs * f for f in frames_per_message]
+        assert embeds["calls"] == len(messages) + len(messages) * snrs * arms
+
     @pytest.mark.parametrize("text", [None, "\ud800 not encodable"],
                              ids=["scene", "transmit-error"])
     def test_paired_arms_match_single_runs(self, profiles, scenes, multiframe_cfg,
@@ -280,6 +310,94 @@ class TestPerMessagePass:
         assert [fields(r) for r in paired] == [fields(r) for r in single]
         if text is not None:  # a shared-stage error reaches every arm
             assert {r.error_stage for r in paired} == {"transmit"}
+
+
+class TestFailures:
+    """A failed transmit is not a perfect estimate, and a bug says where it
+    happened."""
+
+    def test_failed_transmit_left_out_of_nmse_and_ser(self, profiles, scenes,
+                                                      multiframe_cfg):
+        # lkb off, so the surrogate reaches the codec, which cannot encode it
+        cfg = dataclasses.replace(multiframe_cfg, lkb_enabled=False)
+        messages = [scenes[0], "\ud800 not encodable", scenes[1]]
+        report = pipeline.sweep(cfg, messages)
+        for row in report.rows:
+            recs = [pipeline.run_pipeline(
+                payload, cfg, *profiles, snr_db=row.snr_db, estimator=row.estimator,
+                seed=pipeline.derive_seed(cfg.master_seed, idx,
+                                          pipeline._snr_key(row.snr_db)))
+                for idx, payload in enumerate(messages)]
+            assert recs[1].error_stage == "transmit" and not recs[1].frame_ser
+            assert row.mean_nmse == float(np.mean([recs[0].nmse, recs[2].nmse]))
+            assert row.mean_ser == float(np.mean([recs[0].ser, recs[2].ser]))
+            assert row.mean_cosine == float(np.mean([r.cosine for r in recs]))
+            assert row.accuracy == sum(r.correct for r in recs) / 3
+            assert row.n == 3
+
+    def test_cell_without_estimate_reports_nan(self, multiframe_cfg):
+        cfg = dataclasses.replace(multiframe_cfg, lkb_enabled=False)
+        report = pipeline.sweep(cfg, ["\ud800 not encodable"])
+        lines = pipeline.format_report(report).splitlines()[1:]
+        assert len(lines) == 3 * 4
+        for line in lines:
+            assert line.split(",")[4:] == ["nan", "nan", "1"]
+
+    @pytest.mark.parametrize("owner, name, per_message, stage", [
+        (pipeline, "scene_to_text", 1, "modal-transform"),
+        (cge, "estimate", 1, "transmit"),
+        (semeval, "embed", 1 + 3 * 4, "scoring")],
+        ids=["caption", "cge-batch", "reference-embed"])
+    def test_stage_bug_raised_with_notes(self, monkeypatch, scenes, multiframe_cfg,
+                                         owner, name, per_message, stage):
+        original, calls = getattr(owner, name), Counter()
+
+        def buggy(*args):
+            calls["n"] += 1
+            if calls["n"] > per_message:  # the second message's first call
+                raise ZeroDivisionError("bug")
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, buggy)
+        with pytest.raises(ZeroDivisionError) as info:
+            pipeline.sweep(multiframe_cfg, scenes[:3])
+        assert info.value.__notes__ == [f"in pipeline stage {stage!r}",
+                                        "in sweep message 1"]
+
+
+class TestAtomicWrites:
+    """A writer that fails partway leaves the old file and no temporary file."""
+
+    @staticmethod
+    def corpus_writer(path, bad):
+        scenes = corpus.synthetic_corpus(3, seed=2)
+        corpus.save_corpus(path, scenes + [None] if bad else scenes)
+
+    @staticmethod
+    def prompt_base_writer(path, bad):
+        base = lkb.default_prompt_base()
+        if bad:
+            base.add(lkb.Profile("Zoe", interests=[None]))
+        lkb.save_prompt_base(path, base)
+
+    @staticmethod
+    def report_writer(path, bad):
+        rows = [pipeline.SweepRow(0.0, "ls", 0.5, 0.5, 0.1, 0.01, 2)]
+        if bad:
+            rows.append(pipeline.SweepRow("loud", "ls", 0.5, 0.5, 0.1, 0.01, 2))
+        pipeline.write_report(pipeline.SweepReport(rows, "f", 1), path)
+
+    @pytest.mark.parametrize("writer", ["corpus_writer", "prompt_base_writer",
+                                        "report_writer"])
+    def test_failed_write_keeps_old_file(self, tmp_path, writer):
+        write = getattr(self, writer)
+        path = tmp_path / "out"
+        write(path, bad=False)
+        before = path.read_bytes()
+        with pytest.raises((TypeError, AttributeError, ValueError, LamMscError)):
+            write(path, bad=True)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 class TestModelExtents:
