@@ -79,7 +79,9 @@ def demodulate(symbols: np.ndarray, repetition: int = 1) -> TokenStream:
     The stream is truncated at the first decoded terminator. Decoded 10-bit
     values outside the token alphabet keep their low byte, so noise never
     silently changes the stream length. A trailing partial token is dropped
-    (flagged); a missing terminator is appended (flagged).
+    (flagged); a missing terminator is appended (flagged). Any complex
+    input decodes, NaN and inf included; only ``repetition < 1`` raises
+    (ValueError).
     """
     if repetition < 1:
         raise ValueError(f"repetition must be >= 1, got {repetition}")

@@ -167,7 +167,12 @@ def _parse_entity_sentence(body: str):
 
 
 def text_to_scene(text: str, modality: str = "image") -> ScenePayload:
-    """Parse a grammar-conforming caption back into a canonical scene."""
+    """Parse a grammar-conforming caption back into a canonical scene.
+
+    Raises CaptionParseError, and nothing else, for any text outside the
+    grammar, including text that parses into a scene ``canonical_scene``
+    rejects.
+    """
     if not text.strip():
         return ScenePayload(modality)
     bodies = [s for s in text.rstrip().rstrip(".").split(". ")]
@@ -209,7 +214,10 @@ def text_to_scene(text: str, modality: str = "image") -> ScenePayload:
     for subject in order:
         if subject not in used:
             merged.append((_with_article(subject), attr_map[subject]))
-    return canonical_scene(ScenePayload(modality, merged, background, pose))
+    try:
+        return canonical_scene(ScenePayload(modality, merged, background, pose))
+    except ValueError as exc:
+        raise CaptionParseError(str(exc), text) from exc
 
 
 # ---------------------------------------------------------------------------

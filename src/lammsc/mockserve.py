@@ -11,7 +11,10 @@ Routes (all POST, JSON bodies, version header ``lam-msc/1``):
   /embed        {text} -> {vector}
                 The built-in hashed-trigram embedder.
 
-Failures answer {error, message} with a 4xx status.
+Failures answer {error, message} with a 4xx status. The server speaks
+HTTP/1.1 and keeps connections open; a request whose body cannot be framed
+(no valid Content-Length, or a Transfer-Encoding) is answered and its
+connection closed.
 """
 
 from __future__ import annotations
@@ -19,10 +22,12 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from . import mma, semeval
+from .errors import CaptionParseError
 from .wire import PROTOCOL_VERSION, VERSION_HEADER
 
 _PROMPT_MARKER = "\nText:\n"
@@ -50,7 +55,7 @@ def _handle_transform(body: dict) -> dict:
     elif source == "text" and target in mma.MODALITIES:
         try:
             scene = mma.text_to_scene(raw.decode("utf-8"), modality=target)
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (CaptionParseError, UnicodeDecodeError) as exc:
             raise _BadRequest(f"caption does not parse: {exc}") from exc
         out = mma.scene_to_json(scene).encode("utf-8")
     else:
@@ -82,6 +87,11 @@ _ROUTES = {"/transform": _handle_transform,
 
 
 class _Handler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    # headers and body go out as two writes; with Nagle on, the second
+    # waits for the client's delayed ACK (about 40 ms per round trip)
+    disable_nagle_algorithm = True
+
     def log_message(self, *args):  # keep test output quiet
         pass
 
@@ -91,10 +101,22 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(blob)))
         self.send_header(VERSION_HEADER, PROTOCOL_VERSION)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(blob)
 
     def do_POST(self):
+        # the body is read before any reply, so that a kept-alive connection
+        # stays framed whatever the answer
+        length = self.headers.get("Content-Length", "")
+        if "Transfer-Encoding" in self.headers or not (length.isascii()
+                                                       and length.isdigit()):
+            self.close_connection = True
+            self._send(400, {"error": "request",
+                             "message": "request body needs a Content-Length"})
+            return
+        raw = self.rfile.read(int(length))
         version = self.headers.get(VERSION_HEADER)
         if version is not None and version != PROTOCOL_VERSION:
             self._send(400, {"error": "protocol",
@@ -106,8 +128,7 @@ class _Handler(BaseHTTPRequestHandler):
                              "message": f"unknown route {self.path}"})
             return
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            body = json.loads(self.rfile.read(length).decode("utf-8"))
+            body = json.loads(raw.decode("utf-8"))
             if not isinstance(body, dict):
                 raise _BadRequest("request body must be a JSON object")
             self._send(200, handler(body))
@@ -119,11 +140,40 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(500, {"error": "internal", "message": str(exc)})
 
 
+class _Server(ThreadingHTTPServer):
+    """Keeps its open connections, so that closing the server ends the
+    kept-alive ones too instead of leaving their threads answering."""
+
+    def __init__(self, address):
+        super().__init__(address, _Handler)
+        self._lock = threading.Lock()
+        self._open: set[socket.socket] = set()
+
+    def process_request(self, request, client_address):
+        with self._lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        super().server_close()
+        with self._lock:
+            for request in self._open:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the peer is already gone
+
+
 class MockServer:
     """Threaded HTTP server for wire-contract tests and `mock-serve`."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
-        self._server = ThreadingHTTPServer((host, port), _Handler)
+        self._server = _Server((host, port))
         self._thread: threading.Thread | None = None
 
     @property

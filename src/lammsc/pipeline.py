@@ -84,11 +84,15 @@ class PipelineConfig:
                               f"{self.rows}x{self.cols}")
         if not self.snr_db:
             raise ConfigError("snr_db list must be non-empty")
+        if not all(-math.inf < snr <= NO_NOISE for snr in self.snr_db):
+            raise ConfigError(f"snr_db entries must be finite or inf (no noise), "
+                              f"got {self.snr_db}")
         if self.repetition < 1:
             raise ConfigError("repetition must be >= 1")
         self.pilot_pattern()
-        if self.sigma_f < 0 or self.sigma_t < 0:
-            raise ConfigError("smoothing stds sigma_f and sigma_t must be >= 0")
+        if not (0 <= self.sigma_f < math.inf and 0 <= self.sigma_t < math.inf):
+            raise ConfigError("smoothing stds sigma_f and sigma_t must be finite "
+                              "and >= 0")
         if self.timeout_ms <= 0:
             raise ConfigError(f"timeout_ms must be positive, got {self.timeout_ms}")
         if self.retries < 0:

@@ -4,11 +4,17 @@ All services speak JSON over POST and carry the protocol version in the
 ``X-Protocol-Version`` header. Failures map to a three-way taxonomy:
 transport (unreachable/timeout), protocol (malformed message), and remote
 (the service reported an error).
+
+Each thread keeps one keep-alive ``requests.Session``, shared by every
+``Endpoint`` it calls, so a run opens one connection per server and thread,
+not one per call.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from urllib.parse import urlsplit
 
 import requests
 
@@ -16,6 +22,8 @@ from .errors import ProtocolError, RemoteServiceError, TransportError
 
 PROTOCOL_VERSION = "lam-msc/1"
 VERSION_HEADER = "X-Protocol-Version"
+
+_local = threading.local()
 
 
 @dataclass
@@ -33,17 +41,40 @@ class Endpoint:
             raise ValueError(f"retries must be non-negative, got {self.retries}")
 
 
+def _session() -> tuple[requests.Session, set[str]]:
+    """This thread's session, and the hosts whose last reply left a pooled
+    connection open."""
+    if not hasattr(_local, "session"):
+        _local.session, _local.kept = requests.Session(), set()
+    return _local.session, _local.kept
+
+
 def post_json(ep: Endpoint, path: str, body: dict) -> dict:
-    """POST a JSON body; returns the parsed 200 response or raises typed errors."""
+    """POST a JSON body; returns the parsed 200 response or raises typed errors.
+
+    A server may close a kept-alive connection just as the next request goes
+    out on it. A connection error on such a reused connection is resent once
+    on a new connection without using up an attempt; every route is a pure
+    function of its body, so the resend is safe.
+    """
     url = ep.base_url.rstrip("/") + path
+    host = urlsplit(url).netloc
+    session, kept = _session()
     last_exc: Exception | None = None
-    for _ in range(ep.retries + 1):
+    attempts = 0
+    while attempts <= ep.retries:
+        reused = host in kept
+        kept.discard(host)
         try:
-            resp = requests.post(url, json=body, timeout=ep.timeout_ms / 1000.0,
-                                 headers={VERSION_HEADER: PROTOCOL_VERSION})
+            resp = session.post(url, json=body, timeout=ep.timeout_ms / 1000.0,
+                                headers={VERSION_HEADER: PROTOCOL_VERSION})
         except requests.RequestException as exc:
             last_exc = exc
+            attempts += not (reused and isinstance(exc, requests.ConnectionError))
             continue
+        if (resp.raw.version == 11
+                and "close" not in resp.headers.get("Connection", "").lower()):
+            kept.add(host)
         if resp.status_code != 200:
             detail = ""
             try:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from lammsc import channel, codec
@@ -159,6 +160,28 @@ class TestDemodulate:
         back = codec.demodulate(codec.modulate(ts, repetition), repetition)
         assert back.tokens.tolist() == ts.tokens.tolist()
         assert not back.missing_terminator and not back.dropped_partial
+
+    @given(hnp.arrays(st.sampled_from([np.complex64, np.complex128]),
+                      hnp.array_shapes(min_dims=0, max_dims=3, max_side=24),
+                      elements=st.complex_numbers(width=64)),
+           st.integers(min_value=-2, max_value=5))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_symbols_decode_or_reject_repetition(self, symbols,
+                                                           repetition):
+        """Any complex array, NaN and inf included, decodes to a well-formed
+        stream; only a repetition below 1 raises, as a ValueError."""
+        if repetition < 1:
+            with pytest.raises(ValueError, match="repetition"):
+                codec.demodulate(symbols, repetition)
+            return
+        with np.errstate(invalid="ignore"):  # inf - inf in a repetition mean
+            back = codec.demodulate(symbols, repetition)
+        per_token = codec.SYMBOLS_PER_TOKEN * repetition
+        assert back.tokens[-1] == codec.TERMINATOR
+        assert np.count_nonzero(back.tokens == codec.TERMINATOR) == 1
+        assert back.tokens.size <= symbols.size // per_token + 1
+        assert back.dropped_partial == (symbols.size % per_token != 0)
+        assert isinstance(codec.detokenize(back), str)
 
     def test_single_flip_outvoted_with_repetition_three(self):
         ts = codec.tokenize("Q")

@@ -68,6 +68,13 @@ class TestSceneToText:
         assert "is wearing an orange scarf" in mma.scene_to_text(scene)
 
 
+# caption fragments, so that generated text reaches past the first sentence
+_CAPTION_PIECES = ["A boy", "a girl", " and ", " in ", "a playful pose", ". ",
+                   ".", "The ", "the boy", " has ", " is wearing ", " with ",
+                   "golden hair", "a red tie", "The background is ", "a garden",
+                   " ", "", "\n", "boy", "in", "É"]
+
+
 class TestTextToScene:
     def test_garden_caption_parses_back(self):
         assert mma.text_to_scene(GARDEN_CAPTION) == mma.canonical_scene(GARDEN_SCENE)
@@ -93,6 +100,16 @@ class TestTextToScene:
     def test_round_trip_identity(self, scene):
         canon = mma.canonical_scene(scene)
         assert mma.text_to_scene(mma.scene_to_text(scene)) == canon
+
+    @given(st.text() | st.lists(st.sampled_from(_CAPTION_PIECES), max_size=16)
+           .map("".join))
+    @settings(max_examples=400, deadline=None)
+    def test_arbitrary_text_parses_or_raises_caption_error(self, text):
+        try:
+            scene = mma.text_to_scene(text)
+        except CaptionParseError:
+            return
+        assert scene == mma.canonical_scene(scene)
 
     def test_injective_on_canonical_scenes(self):
         rng = np.random.default_rng(7)

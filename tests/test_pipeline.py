@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -55,6 +56,22 @@ class TestConfig:
     def test_out_of_range_numbers_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             pipeline.PipelineConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("sigma_f", math.nan), ("sigma_t", math.nan), ("sigma_f", math.inf),
+        ("snr_db", [math.nan]), ("snr_db", [10.0, -math.inf])])
+    def test_non_finite_numbers_rejected_before_any_work(self, field, value,
+                                                         monkeypatch):
+        cfg = pipeline.PipelineConfig(**{"snr_db": [10.0], "estimators": ["ls"],
+                                         field: value})
+        with pytest.raises(ConfigError, match=field):
+            cfg.validate()
+        monkeypatch.setattr(pipeline, "load_profiles", None)  # no work at all
+        with pytest.raises(ConfigError, match=field):
+            pipeline.sweep(cfg, corpus.synthetic_corpus(2, seed=1))
+
+    def test_inf_snr_is_no_noise(self):
+        pipeline.PipelineConfig(snr_db=[NO_NOISE, 10.0]).validate()
 
     @pytest.mark.parametrize("df, dt, message", [
         (1, 1, "no data cell"), (0, 4, ">= 1"), (4, 0, ">= 1"), (64, 4, "exceed"),

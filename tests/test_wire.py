@@ -1,8 +1,13 @@
 import base64
 import json
+import socket
+import statistics
+import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from unittest import mock
 
 import numpy as np
@@ -14,7 +19,7 @@ from hypothesis import strategies as st
 from lammsc import corpus, lkb, mma, pipeline, semeval
 from lammsc.errors import ProtocolError, RemoteServiceError, TransportError
 from lammsc.mockserve import MockServer
-from lammsc.wire import PROTOCOL_VERSION, VERSION_HEADER, Endpoint
+from lammsc.wire import PROTOCOL_VERSION, VERSION_HEADER, Endpoint, post_json
 
 from test_mma import GARDEN_CAPTION, GARDEN_SCENE
 
@@ -89,7 +94,7 @@ class TestTransformContract:
             calls.append(1)
             raise requests.ConnectionError("refused")
 
-        monkeypatch.setattr(requests, "post", refuse)
+        monkeypatch.setattr(requests.Session, "post", refuse)
         ep = Endpoint("http://127.0.0.1:1", timeout_ms=100, retries=2)
         with pytest.raises(TransportError, match="3 attempts"):
             mma.transform_remote(GARDEN_CAPTION, "image", ep)
@@ -110,6 +115,122 @@ class TestTransformContract:
                              headers={VERSION_HEADER: "lam-msc/99"}, timeout=5)
         assert resp.status_code == 400
         assert resp.json()["error"] == "protocol"
+
+    def test_replies_keep_a_kept_alive_connection_framed(self, server):
+        with requests.Session() as session:
+            post = partial(session.post, timeout=5)
+            wrong = post(server.url + "/transform", json={"data": "x"},
+                         headers={VERSION_HEADER: "lam-msc/99"})
+            unknown = post(server.url + "/nowhere", data=b"x" * 100,
+                           headers={VERSION_HEADER: PROTOCOL_VERSION})
+            valid = post(server.url + "/personalize",
+                         json={"prompt": "task\nText:\nstill framed"},
+                         headers={VERSION_HEADER: PROTOCOL_VERSION})
+        assert [r.status_code for r in (wrong, unknown, valid)] == [400, 404, 200]
+        assert valid.json() == {"text": "still framed"}
+
+    @pytest.mark.parametrize("headers", [
+        {"Content-Length": "ten"}, {"Content-Length": "-3"},
+        {"Transfer-Encoding": "chunked"}, {}])
+    def test_unframed_body_answered_and_closed(self, server, headers):
+        host, port = server.url.removeprefix("http://").split(":")
+        head = "".join(f"{k}: {v}\r\n" for k, v in headers.items())
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(f"POST /embed HTTP/1.1\r\nHost: x\r\n{head}\r\n"
+                         "0\r\n\r\n".encode())
+            reply = b""
+            while chunk := sock.recv(4096):  # the server closes the connection
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close\r\n" in reply
+
+
+class TestKeepAlive:
+    """One pooled connection per client thread, closed with the server."""
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_each_client_thread_keeps_one_connection(self, threads):
+        def client(i):
+            ep = Endpoint(srv.url, retries=0)
+            for j in range(10):
+                text = f"thread {i} call {j}"
+                assert post_json(ep, "/personalize",
+                                 {"prompt": f"task\nText:\n{text}"}) == {"text": text}
+            post_json(Endpoint(srv.url + "/"), "/embed", {"text": "other endpoint"})
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with MockServer() as srv:
+                accepted = []
+                get_request = srv._server.get_request
+
+                def counting_get_request():
+                    conn = get_request()
+                    accepted.append(conn[1])
+                    return conn
+
+                srv._server.get_request = counting_get_request
+                with ThreadPoolExecutor(threads) as pool:
+                    list(pool.map(client, range(threads), timeout=60))
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(accepted) == threads
+
+    def test_stopped_server_is_transport_error(self):
+        srv = MockServer().start()
+        ep = Endpoint(srv.url, timeout_ms=1000, retries=1)
+        body = {"prompt": "task\nText:\nhi"}
+        assert post_json(ep, "/personalize", body) == {"text": "hi"}
+        srv.stop()
+        with pytest.raises(TransportError, match="2 attempts"):
+            post_json(ep, "/personalize", body)
+
+    def test_connection_closed_after_each_reply_is_reopened(self):
+        class OneShotHandler(BaseHTTPRequestHandler):
+            """Keeps HTTP/1.1 framing but closes each connection shortly
+            after one reply without saying so, as a server dropping an idle
+            connection does: the next request goes out on a dead connection."""
+
+            protocol_version = "HTTP/1.1"
+
+            def log_message(self, *args):
+                pass
+
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                blob = b'{"text": "once"}'
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(blob)))
+                self.end_headers()
+                self.wfile.write(blob)
+                time.sleep(0.05)
+                self.close_connection = True
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), OneShotHandler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            ep = Endpoint(f"http://127.0.0.1:{server.server_address[1]}",
+                          timeout_ms=2000, retries=0)
+            for _ in range(2):
+                assert post_json(ep, "/personalize", {"prompt": ""}) == \
+                    {"text": "once"}
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_sequential_calls_do_not_stall(self):
+        # with Nagle on, each kept-alive round trip waits for a delayed ACK
+        # (about 40 ms); without it a call takes a few ms
+        with MockServer() as srv:
+            ep = Endpoint(srv.url, retries=0)
+            times = []
+            for i in range(31):
+                start = time.perf_counter()
+                post_json(ep, "/embed", {"text": f"message {i}"})
+                times.append(time.perf_counter() - start)
+        assert statistics.median(times) < 0.020
 
 
 class TestPersonalizeContract:
@@ -136,7 +257,7 @@ class TestPersonalizeContract:
         def slow(*args, **kwargs):
             raise requests.Timeout("too slow")
 
-        monkeypatch.setattr(requests, "post", slow)
+        monkeypatch.setattr(requests.Session, "post", slow)
         profile = lkb.default_prompt_base().get("Mike")
         with pytest.raises(TransportError):
             lkb.personalize_remote("hello", profile, "extract",
