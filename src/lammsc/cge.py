@@ -96,11 +96,15 @@ def make_condition(y: np.ndarray, pattern: PilotPattern) -> np.ndarray:
     if y.shape != (pattern.rows, pattern.cols):
         raise ShapeError(f"make_condition: grid {y.shape} vs pattern "
                          f"{pattern.rows}x{pattern.cols}")
-    mask = pattern.mask()
-    masked = np.where(mask, y, 0.0).astype(np.complex64)
-    pilots = np.zeros((pattern.rows, pattern.cols), np.complex64)
-    pilots[np.ix_(pattern.pilot_rows, pattern.pilot_cols)] = pattern.symbols
-    return np.concatenate([gains_to_planes(masked), gains_to_planes(pilots)])
+    masked = np.where(pattern.mask(), y, 0.0).astype(np.complex64)
+    return np.concatenate([gains_to_planes(masked),
+                           gains_to_planes(_pilot_frame(pattern))])
+
+
+def _pilot_frame(pattern: PilotPattern) -> np.ndarray:
+    """The pilot-only frame: the known pilot symbols, zero at every data cell."""
+    return insert_pilots(np.zeros((pattern.rows, pattern.cols), np.complex64),
+                         pattern)
 
 
 def gains_to_planes(gains: np.ndarray) -> np.ndarray:
@@ -274,9 +278,7 @@ def evaluate_nmse(model: CganModel, pairs) -> float:
 def _pilot_pair(h: ChannelRealization, pattern: PilotPattern, snr_db: float,
                 noise_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(condition, gains) of a pilot-only frame sent through ``h``."""
-    frame = insert_pilots(np.zeros((pattern.rows, pattern.cols), np.complex64),
-                          pattern)
-    y = apply_channel(frame, h, snr_db, noise_seed)
+    y = apply_channel(_pilot_frame(pattern), h, snr_db, noise_seed)
     return make_condition(y, pattern), h.gains
 
 

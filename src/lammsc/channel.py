@@ -60,9 +60,6 @@ class PilotPattern:
 
     rows: int
     cols: int
-    d_f: int
-    d_t: int
-    seed: int
     pilot_rows: np.ndarray
     pilot_cols: np.ndarray
     symbols: np.ndarray  # complex64 (len(pilot_rows), len(pilot_cols))
@@ -90,8 +87,7 @@ def make_pilot_pattern(rows: int, cols: int, d_f: int = 4, d_t: int = 4,
     pilot_cols = np.arange(0, cols, d_t)
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, 4, size=(pilot_rows.size, pilot_cols.size))
-    return PilotPattern(rows, cols, d_f, d_t, seed, pilot_rows, pilot_cols,
-                        _QPSK[idx])
+    return PilotPattern(rows, cols, pilot_rows, pilot_cols, _QPSK[idx])
 
 
 def _gauss_taps(sigma: float) -> np.ndarray:

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import cge, channel, corpus, pipeline
 from .errors import ConfigError, LamMscError
+from .fileio import atomic_open
 from .mma import ScenePayload, scene_from_json, scene_to_json
 from .mockserve import MockServer
 
@@ -74,6 +75,10 @@ def _record_to_dict(rec: pipeline.TransmissionRecord) -> dict:
 # subcommands
 
 def _cmd_gen_channels(args) -> int:
+    pipeline.PipelineConfig(rows=args.rows, cols=args.cols, sigma_f=args.sigma_f,
+                            sigma_t=args.sigma_t).validate()
+    if args.count < 1:
+        raise ConfigError(f"--count must be >= 1, got {args.count}")
     rng_seeds = [pipeline.derive_seed(args.seed, i) for i in range(args.count)]
     grids = [channel.gen_channel(s, args.rows, args.cols, args.sigma_f,
                                  args.sigma_t) for s in rng_seeds]
@@ -83,17 +88,21 @@ def _cmd_gen_channels(args) -> int:
 
 
 def _cmd_train_cge(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = _config_from_args(args).validate()
     pattern = cfg.pilot_pattern()
     snr = cfg.snr_db[0]
     hyper = cge.TrainConfig(epochs=args.epochs, batch_size=args.batch)
+    realizations = args.channels and channel.load_channel_dataset(args.channels)
+    cge.check_training_setup(hyper, len(realizations) if args.channels else args.pairs,
+                             cfg.rows, cfg.cols)
     if args.channels:
-        realizations = channel.load_channel_dataset(args.channels)
-        cge.check_training_setup(hyper, len(realizations), cfg.rows, cfg.cols)
+        grid = realizations[0].gains.shape
+        if grid != (cfg.rows, cfg.cols):
+            raise ConfigError(f"channel dataset {args.channels} holds {grid[0]}x"
+                              f"{grid[1]} grids, config grid is {cfg.rows}x{cfg.cols}")
         pairs = cge.pairs_from_realizations(realizations, pattern, snr,
                                             noise_seed=args.data_seed)
     else:
-        cge.check_training_setup(hyper, args.pairs, cfg.rows, cfg.cols)
         pairs = cge.make_training_set(args.pairs, cfg.rows, cfg.cols, cfg.sigma_f,
                                       cfg.sigma_t, pattern, snr, args.data_seed)
     model = cge.train_cgan(pairs, hyper, seed=args.seed)
@@ -105,7 +114,8 @@ def _cmd_train_cge(args) -> int:
 
 def _cmd_eval_cge(args) -> int:
     cfg = _config_from_args(args)
-    model = cge.load_model(args.model or cfg.model_path)
+    cfg.model_path = args.model or cfg.model_path
+    model = pipeline._load_model(cfg.validate())
     pattern = cfg.pilot_pattern()
     lines = ["snr_db,cge_nmse,ls_nmse,n"]
     for snr in cfg.snr_db:
@@ -113,17 +123,23 @@ def _cmd_eval_cge(args) -> int:
             args.count, cfg.rows, cfg.cols, cfg.sigma_f, cfg.sigma_t, pattern, snr,
             seed=pipeline.derive_seed(args.seed, pipeline._snr_key(snr)))
         # LS reads only the pilot cells, which the condition planes keep
-        ls_nmse = np.mean([channel.nmse(channel.ls_estimate(cond[0] + 1j * cond[1],
-                                                            pattern), gains)
-                           for cond, gains in pairs])
+        ls_nmse = np.mean([channel.nmse(channel.ls_estimate(
+            cge.planes_to_gains(cond), pattern), gains) for cond, gains in pairs])
         lines.append(f"{snr:.6g},{cge.evaluate_nmse(model, pairs):.6g},"
                      f"{ls_nmse:.6g},{args.count}")
     table = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_open(args.out, "w", encoding="utf-8") as fh:
             fh.write(table)
     print(table, end="")
     return 0
+
+
+def _load_corpus(args, cfg) -> list:
+    path = args.corpus or cfg.corpus_path
+    if not path:
+        raise ConfigError(f"{args.command} needs a corpus (--corpus or corpus_path)")
+    return corpus.load_corpus(path)
 
 
 def _load_payload(args, cfg):
@@ -131,10 +147,7 @@ def _load_payload(args, cfg):
         return args.text
     if args.scene is not None:
         return scene_from_json(args.scene)
-    path = args.corpus or cfg.corpus_path
-    if not path:
-        raise ConfigError("run needs --text, --scene, or a corpus path")
-    scenes = corpus.load_corpus(path)
+    scenes = _load_corpus(args, cfg)
     if not 0 <= args.index < len(scenes):
         raise ConfigError(f"--index {args.index} out of range for corpus of "
                           f"{len(scenes)}")
@@ -152,11 +165,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args).validate()
-    path = args.corpus or cfg.corpus_path
-    if not path:
-        raise ConfigError("sweep needs a corpus (--corpus or corpus_path)")
-    scenes = corpus.load_corpus(path)
-    report = pipeline.sweep(cfg, scenes)
+    report = pipeline.sweep(cfg, _load_corpus(args, cfg))
     text = pipeline.format_report(report)
     if args.out:
         pipeline.write_report(report, args.out)

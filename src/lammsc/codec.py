@@ -7,6 +7,11 @@ the non-pilot cells of a grid row-major, spilling into further frames as
 needed; unused data cells stay at zero power and are excluded from symbol
 statistics. The chain is the pluggable stand-in for a learned codec: any
 replacement must map text to unit-power data symbols and back.
+
+Every QPSK decision (``demodulate``, ``hard_decide``, ``ser``,
+``rail_error_rate``) uses one quadrant rule: a real or imaginary part is
+negative unless it is ``>= 0``, so zero counts as positive and NaN as
+negative.
 """
 
 from __future__ import annotations
@@ -73,6 +78,12 @@ def modulate(ts: TokenStream, repetition: int = 1) -> np.ndarray:
     return symbols.astype(np.complex64)
 
 
+def _negative(symbols: np.ndarray):
+    """The quadrant rule: (real, imag) masks of the parts that decide negative."""
+    symbols = np.asarray(symbols)
+    return ~(symbols.real >= 0.0), ~(symbols.imag >= 0.0)
+
+
 def demodulate(symbols: np.ndarray, repetition: int = 1) -> TokenStream:
     """Average repetition groups, hard-decide bit pairs, reassemble tokens.
 
@@ -93,8 +104,7 @@ def demodulate(symbols: np.ndarray, repetition: int = 1) -> TokenStream:
     if repetition > 1:
         symbols = symbols.reshape(-1, repetition).mean(axis=1)
     bits = np.empty((symbols.size, 2), dtype=np.int64)
-    bits[:, 0] = symbols.real < 0.0
-    bits[:, 1] = symbols.imag < 0.0
+    bits[:, 0], bits[:, 1] = _negative(symbols)
     values = bits.reshape(-1, BITS_PER_TOKEN) @ _BIT_WEIGHTS
     term = np.flatnonzero(values == TERMINATOR)
     if term.size:
@@ -161,9 +171,9 @@ def equalize(y: np.ndarray, h_est: np.ndarray, noise_var: float = 0.0,
 
 def hard_decide(symbols: np.ndarray) -> np.ndarray:
     """Nearest QPSK constellation point by quadrant."""
-    symbols = np.asarray(symbols)
-    re = np.where(symbols.real >= 0.0, 1.0, -1.0)
-    im = np.where(symbols.imag >= 0.0, 1.0, -1.0)
+    neg_re, neg_im = _negative(symbols)
+    re = np.where(neg_re, -1.0, 1.0)
+    im = np.where(neg_im, -1.0, 1.0)
     return ((re + 1j * im) / _SQRT2).astype(np.complex64)
 
 
@@ -179,8 +189,8 @@ def ser(sent: np.ndarray, decided: np.ndarray) -> float:
         raise ShapeError(f"ser: {sent.size} sent vs {decided.size} decided symbols")
     if sent.size == 0:
         return 0.0
-    errors = (((sent.real >= 0.0) != (decided.real >= 0.0))
-              | ((sent.imag >= 0.0) != (decided.imag >= 0.0)))
+    (sent_re, sent_im), (got_re, got_im) = _negative(sent), _negative(decided)
+    errors = (sent_re != got_re) | (sent_im != got_im)
     return float(np.count_nonzero(errors)) / sent.size
 
 
@@ -190,6 +200,6 @@ def rail_error_rate(sent: np.ndarray, decided: np.ndarray) -> float:
     decided = np.asarray(decided).ravel()
     if sent.size != decided.size:
         raise ShapeError(f"rail_error_rate: {sent.size} vs {decided.size} symbols")
-    re_err = np.count_nonzero((sent.real >= 0) != (decided.real >= 0))
-    im_err = np.count_nonzero((sent.imag >= 0) != (decided.imag >= 0))
-    return (re_err + im_err) / (2.0 * sent.size)
+    (sent_re, sent_im), (got_re, got_im) = _negative(sent), _negative(decided)
+    wrong = np.count_nonzero(sent_re != got_re) + np.count_nonzero(sent_im != got_im)
+    return wrong / (2.0 * sent.size)

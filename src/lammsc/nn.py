@@ -343,25 +343,25 @@ def dense(params: LayerParams, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # losses (scalar values in double precision, gradients in float32)
 
-def _check_same_shape(a: np.ndarray, b: np.ndarray, op: str):
+def _same_shape(a: np.ndarray, b: np.ndarray, op: str):
+    """Both operands as float32 arrays; ShapeError unless their shapes match."""
+    a = np.asarray(a, dtype=np.float32)
+    b = np.asarray(b, dtype=np.float32)
     if a.shape != b.shape:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
+    return a, b
 
 
 def bce_loss(pred: np.ndarray, target: np.ndarray) -> float:
     """Mean binary cross-entropy; predictions clamped away from {0,1}."""
-    pred = np.asarray(pred, dtype=np.float32)
-    target = np.asarray(target, dtype=np.float32)
-    _check_same_shape(pred, target, "bce_loss")
+    pred, target = _same_shape(pred, target, "bce_loss")
     p = np.clip(pred, _BCE_EPS, 1.0 - _BCE_EPS).astype(np.float64)
     t = target.astype(np.float64)
     return float(-np.mean(t * np.log(p) + (1.0 - t) * np.log1p(-p)))
 
 
 def bce_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    pred = np.asarray(pred, dtype=np.float32)
-    target = np.asarray(target, dtype=np.float32)
-    _check_same_shape(pred, target, "bce_grad")
+    pred, target = _same_shape(pred, target, "bce_grad")
     p = np.clip(pred, _BCE_EPS, 1.0 - _BCE_EPS)
     g = (-target / p + (1.0 - target) / (1.0 - p)) / pred.size
     g[(pred < _BCE_EPS) | (pred > 1.0 - _BCE_EPS)] = 0.0  # clamp is flat
@@ -370,16 +370,12 @@ def bce_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 def l1_loss(a: np.ndarray, b: np.ndarray) -> float:
     """Mean absolute difference; zero iff a == b."""
-    a = np.asarray(a, dtype=np.float32)
-    b = np.asarray(b, dtype=np.float32)
-    _check_same_shape(a, b, "l1_loss")
+    a, b = _same_shape(a, b, "l1_loss")
     return float(np.mean(np.abs(a.astype(np.float64) - b.astype(np.float64))))
 
 
 def l1_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float32)
-    b = np.asarray(b, dtype=np.float32)
-    _check_same_shape(a, b, "l1_grad")
+    a, b = _same_shape(a, b, "l1_grad")
     return (np.sign(a - b) / a.size).astype(np.float32)
 
 

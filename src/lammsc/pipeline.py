@@ -168,10 +168,6 @@ class PipelineConfig:
             raise ConfigError(f"{path}: config must be a JSON object")
         return cls.from_dict(data)
 
-    def fingerprint(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, default=str)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
 
 @dataclass
 class TransmissionRecord:
@@ -212,8 +208,6 @@ class SweepRow:
 @dataclass
 class SweepReport:
     rows: list
-    config_fingerprint: str
-    master_seed: int
     failures: dict = field(default_factory=dict)  # "snr/estimator" -> count
 
 
@@ -417,16 +411,18 @@ def _run_message(payload, cfg: PipelineConfig, stages, pattern, model, draws,
 def run_pipeline(payload, cfg: PipelineConfig, sender: Profile, receiver: Profile,
                  *, snr_db: float | None = None, estimator: str | None = None,
                  seed: int | None = None) -> TransmissionRecord:
-    """One end-to-end transmission; stage errors are captured, not raised."""
-    snr_db = cfg.snr_db[0] if snr_db is None else snr_db
-    estimator = estimator or cfg.estimator
-    if estimator not in ESTIMATORS:
-        raise ConfigError(f"unknown estimator {estimator!r}")
+    """One end-to-end transmission; stage errors are captured, not raised.
+
+    The config it runs, ``cfg`` with the overrides applied, is validated
+    first, so an invalid set-up raises ConfigError before any stage runs.
+    """
+    cfg = replace(cfg, snr_db=cfg.snr_db[:1] if snr_db is None else [snr_db],
+                  estimator=estimator or cfg.estimator, estimators=None).validate()
     seed = cfg.master_seed if seed is None else seed
     pattern = cfg.pilot_pattern()
-    model = _load_model(cfg) if estimator == "cge" else None
+    model = _load_model(cfg) if cfg.estimator == "cge" else None
     return _run_message(payload, cfg, _bind_stages(cfg, sender, receiver), pattern,
-                        model, [(snr_db, seed)], [estimator])[0]
+                        model, [(cfg.snr_db[0], seed)], [cfg.estimator])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +471,7 @@ def sweep(cfg: PipelineConfig, messages) -> SweepReport:
                              mean_nmse, mean_ser, len(messages)))
         if any(failed):
             failures[f"{_snr_key(snr)}/{est}"] = sum(failed)
-    return SweepReport(rows, cfg.fingerprint(), cfg.master_seed, failures)
+    return SweepReport(rows, failures)
 
 
 def format_report(report: SweepReport) -> str:
@@ -488,8 +484,5 @@ def format_report(report: SweepReport) -> str:
 
 
 def write_report(report: SweepReport, path) -> None:
-    try:
-        with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(format_report(report))
-    except OSError as exc:
-        raise LamMscError(f"cannot write report to {path}: {exc}") from exc
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(format_report(report))

@@ -47,6 +47,14 @@ def tiny_model_path(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def channels16_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("channels") / "c16.lmch"
+    channel.save_channel_dataset(path, [channel.gen_channel(i, 16, 16, 2.0, 2.0)
+                                        for i in range(64)])
+    return str(path)
+
+
+@pytest.fixture(scope="module")
 def corpus_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("corpus") / "scenes.jsonl"
     corpus.save_corpus(path, corpus.synthetic_corpus(6, seed=21))
@@ -232,14 +240,53 @@ class TestSetupErrors:
         (["train-cge", "--out", "{tmp}/m.cge", "--rows", "24", "--cols", "24"],
          "divisible by 16"),
         (["train-cge", "--out", "{tmp}/m.cge", "--pairs", "10"], "64 pairs"),
+        (["train-cge", "--out", "{tmp}/m.cge", "--sigma-f", "nan"], "sigma_f"),
+        (["train-cge", "--out", "{tmp}/m.cge", "--channels", "{channels16}"],
+         "16x16 grids"),
+        (["eval-cge", "--model", "{model16}", "--out", "{tmp}/t.csv"], "16x16"),
+        (["eval-cge", "--model", "{model16}", "--out", "{tmp}/t.csv", "--rows", "16",
+          "--cols", "16", "--sigma-t", "nan"], "sigma_t"),
+        (["gen-channels", "--out", "{tmp}/c.lmch", "--sigma-f", "nan"], "sigma_f"),
+        (["gen-channels", "--out", "{tmp}/c.lmch", "--rows", "2"], "4x4"),
+        (["gen-channels", "--out", "{tmp}/c.lmch", "--count", "0"], "--count"),
     ], ids=["all-pilot", "zero-spacing", "spacing-over-extent", "zero-epochs",
-            "zero-batch", "extents", "few-pairs"])
-    def test_config_error(self, capsys, tmp_path, monkeypatch, argv, message):
-        monkeypatch.setattr(cge, "make_training_set", None)  # a call would raise
-        code, _, stderr = run_cli(capsys, *[a.format(tmp=tmp_path) for a in argv])
+            "zero-batch", "extents", "few-pairs", "train-nan-sigma",
+            "train-channels-grid", "eval-model-grid", "eval-nan-sigma",
+            "gen-nan-sigma", "gen-small-grid", "gen-zero-count"])
+    def test_config_error(self, capsys, tmp_path, monkeypatch, tiny_model_path,
+                          channels16_path, argv, message):
+        # a call to any work function would raise
+        monkeypatch.setattr(cge, "make_training_set", None)
+        monkeypatch.setattr(cge, "pairs_from_realizations", None)
+        monkeypatch.setattr(channel, "gen_channel", None)
+        code, _, stderr = run_cli(capsys, *[
+            a.format(tmp=tmp_path, model16=tiny_model_path,
+                     channels16=channels16_path) for a in argv])
         assert code == 1
         assert stderr.startswith("config error: "), stderr
         assert message in stderr
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestUnwritableOut:
+    """Every writer fails as 'error: cannot write' and leaves no file."""
+
+    GRID = ["--rows", "16", "--cols", "16", "--sigma-f", "2", "--sigma-t", "2"]
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-channels", "--count", "2", *GRID],
+        ["train-cge", "--pairs", "64", "--epochs", "1", *GRID],
+        ["eval-cge", "--model", "{model16}", "--count", "2", *GRID],
+        ["sweep", "--corpus", "{corpus}", "--snr-db", "10", "--estimators", "ls"],
+    ], ids=lambda argv: argv[0])
+    def test_cannot_write(self, capsys, tmp_path, tiny_model_path, corpus_path,
+                          argv):
+        out = tmp_path / "missing" / "out"
+        code, _, stderr = run_cli(capsys, *[
+            a.format(model16=tiny_model_path, corpus=corpus_path) for a in argv],
+            "--out", str(out))
+        assert code == 2
+        assert stderr.startswith(f"error: cannot write {out}: "), stderr
         assert list(tmp_path.iterdir()) == []
 
 

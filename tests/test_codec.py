@@ -183,6 +183,18 @@ class TestDemodulate:
         assert back.dropped_partial == (symbols.size % per_token != 0)
         assert isinstance(codec.detokenize(back), str)
 
+    @given(hnp.arrays(st.sampled_from([np.complex64, np.complex128]),
+                      st.integers(min_value=0, max_value=40),
+                      elements=st.complex_numbers(width=64)))
+    @settings(max_examples=200, deadline=None)
+    def test_decodes_the_hard_decisions(self, symbols):
+        """demodulate reads each quadrant as hard_decide does, NaN and inf
+        included: a part is negative unless it is >= 0."""
+        got = codec.demodulate(symbols)
+        want = codec.demodulate(codec.hard_decide(symbols))
+        assert got.tokens.tolist() == want.tokens.tolist()
+        assert got.missing_terminator == want.missing_terminator
+
     def test_single_flip_outvoted_with_repetition_three(self):
         ts = codec.tokenize("Q")
         syms = codec.modulate(ts, repetition=3).copy()

@@ -180,6 +180,19 @@ class TestRunPipeline:
                 "personalize-recover", "modal-recovery",
                 "scoring"} <= set(rec.timings)
 
+    @pytest.mark.parametrize("changes, overrides, message", [
+        ({"sigma_f": math.nan}, {}, "sigma_f"),
+        ({}, {"snr_db": math.nan}, "snr_db"),
+        ({}, {"estimator": "cge"}, "model_path")],
+        ids=["nan-sigma", "nan-snr-override", "cge-override-without-model"])
+    def test_invalid_setup_raises_before_any_stage(self, profiles, scenes,
+                                                   monkeypatch, changes,
+                                                   overrides, message):
+        cfg = dataclasses.replace(lossless_cfg(), **changes)
+        monkeypatch.setattr(pipeline, "_run_message", None)  # a call would raise
+        with pytest.raises(ConfigError, match=message):
+            pipeline.run_pipeline(scenes[0], cfg, *profiles, **overrides)
+
     def test_deterministic_records(self, profiles, scenes):
         sender, receiver = profiles
         cfg = lossless_cfg(snr_db=[5.0], estimator="ls")
@@ -402,7 +415,7 @@ class TestAtomicWrites:
         rows = [pipeline.SweepRow(0.0, "ls", 0.5, 0.5, 0.1, 0.01, 2)]
         if bad:
             rows.append(pipeline.SweepRow("loud", "ls", 0.5, 0.5, 0.1, 0.01, 2))
-        pipeline.write_report(pipeline.SweepReport(rows, "f", 1), path)
+        pipeline.write_report(pipeline.SweepReport(rows), path)
 
     @pytest.mark.parametrize("writer", ["corpus_writer", "prompt_base_writer",
                                         "report_writer"])
