@@ -136,18 +136,17 @@ def estimate(model: CganModel, condition: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # training
 
-def _disc_forward(disc: nn.Sequential, x: np.ndarray, record: bool):
-    """Conv chain, then mean over spatial cells and sigmoid -> (N,) scores."""
-    z = disc.forward(x, record=record)
-    s = z.mean(axis=(1, 2, 3))
-    return nn.activate("sigmoid", s), z.shape
-
-
-def _disc_backward(disc: nn.Sequential, p: np.ndarray, dp: np.ndarray, z_shape):
-    ds = dp * p * (1.0 - p)
-    cells = z_shape[1] * z_shape[2] * z_shape[3]
-    dz = np.broadcast_to((ds / cells)[:, None, None, None], z_shape)
-    return disc.backward(np.ascontiguousarray(dz, dtype=np.float32))
+def _disc_pass(disc: nn.Sequential, conds: np.ndarray, x: np.ndarray,
+               target: float):
+    """One recorded discriminator pass on (condition, x) pairs against a BCE
+    ``target`` for every pair: conv chain, sigmoid of the spatial mean as the
+    (N,) score, then back through the chain. Returns (loss, (dx, grads))."""
+    z = disc.forward(np.concatenate([conds, x], 1), record=True)
+    p = nn.activate("sigmoid", z.mean(axis=(1, 2, 3)))
+    t = np.full(p.shape, target, np.float32)
+    ds = nn.bce_grad(p, t) * p * (1.0 - p)
+    dz = np.broadcast_to((ds / z[0].size)[:, None, None, None], z.shape)
+    return nn.bce_loss(p, t), disc.backward(np.ascontiguousarray(dz, dtype=np.float32))
 
 
 def _stack_batch(dataset, indices):
@@ -182,10 +181,9 @@ def train_cgan(dataset, hyper: TrainConfig | None = None, seed: int = 0) -> Cgan
     rng = np.random.default_rng(seed)
     model = _init_model(rows, cols, rng, hyper)
     gen, disc = model.generator, model.discriminator
-    g_state = nn.AdamState.for_params(gen.parameters(), hyper.lr, hyper.beta1,
-                                      hyper.beta2)
-    d_state = nn.AdamState.for_params(disc.parameters(), hyper.lr, hyper.beta1,
-                                      hyper.beta2)
+    adam = {"lr": hyper.lr, "beta1": hyper.beta1, "beta2": hyper.beta2}
+    g_state = nn.AdamState.for_params(gen.parameters(), **adam)
+    d_state = nn.AdamState.for_params(disc.parameters(), **adam)
 
     perm = rng.permutation(len(dataset))
     n_val = max(1, int(round(len(dataset) * hyper.val_fraction)))
@@ -201,31 +199,17 @@ def train_cgan(dataset, hyper: TrainConfig | None = None, seed: int = 0) -> Cgan
         for start in range(0, len(order), hyper.batch_size):
             batch = order[start:start + hyper.batch_size]
             conds, gains = _stack_batch(dataset, batch)
-            n = conds.shape[0]
-            ones = np.ones(n, np.float32)
-            zeros = np.zeros(n, np.float32)
 
             # discriminator: real pairs up, generated pairs down
             fake = gen.forward(conds, record=True)
-            p_real, z_shape = _disc_forward(disc, np.concatenate([conds, gains], 1),
-                                            record=True)
-            loss_real = nn.bce_loss(p_real, ones)
-            _, grads_real = _disc_backward(disc, p_real, nn.bce_grad(p_real, ones),
-                                           z_shape)
-            p_fake, z_shape = _disc_forward(disc, np.concatenate([conds, fake], 1),
-                                            record=True)
-            loss_fake = nn.bce_loss(p_fake, zeros)
-            _, grads_fake = _disc_backward(disc, p_fake, nn.bce_grad(p_fake, zeros),
-                                           z_shape)
+            loss_real, (_, grads_real) = _disc_pass(disc, conds, gains, 1.0)
+            loss_fake, (_, grads_fake) = _disc_pass(disc, conds, fake, 0.0)
             d_loss = loss_real + loss_fake
             nn.adam_step(disc.parameters(),
                          [a + b for a, b in zip(grads_real, grads_fake)], d_state)
 
             # generator: fool the updated discriminator, stay close in L1
-            p_adv, z_shape = _disc_forward(disc, np.concatenate([conds, fake], 1),
-                                           record=True)
-            adv_loss = nn.bce_loss(p_adv, ones)
-            dx, _ = _disc_backward(disc, p_adv, nn.bce_grad(p_adv, ones), z_shape)
+            adv_loss, (dx, _) = _disc_pass(disc, conds, fake, 1.0)
             l1 = nn.l1_loss(fake, gains)
             g_loss = adv_loss + float(lam) * l1
             dfake = dx[:, CONDITION_CHANNELS:] + lam * nn.l1_grad(fake, gains)
@@ -252,11 +236,9 @@ def _init_model(rows: int, cols: int, rng: np.random.Generator,
     return CganModel(gen, disc, rows, cols, hyper, TrainHistory())
 
 
-def untrained_model(rows: int, cols: int, seed: int = 0,
-                    hyper: TrainConfig | None = None) -> CganModel:
+def untrained_model(rows: int, cols: int, seed: int = 0) -> CganModel:
     """Freshly initialized networks, e.g. as the learnability baseline."""
-    return _init_model(rows, cols, np.random.default_rng(seed),
-                       hyper or TrainConfig())
+    return _init_model(rows, cols, np.random.default_rng(seed), TrainConfig())
 
 
 def evaluate_nmse(model: CganModel, pairs) -> float:

@@ -73,9 +73,6 @@ class PilotPattern:
         """Flat row-major indices of the non-pilot (data) cells."""
         return np.flatnonzero(~self.mask().ravel())
 
-    def positions(self) -> list[tuple[int, int]]:
-        return [(int(r), int(c)) for r in self.pilot_rows for c in self.pilot_cols]
-
 
 def make_pilot_pattern(rows: int, cols: int, d_f: int = 4, d_t: int = 4,
                        seed: int = 97) -> PilotPattern:

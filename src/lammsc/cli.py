@@ -17,7 +17,7 @@ import numpy as np
 
 from . import cge, channel, corpus, pipeline
 from .errors import ConfigError, LamMscError
-from .fileio import atomic_open
+from .fileio import atomic_open, check_writable
 from .mma import ScenePayload, scene_from_json, scene_to_json
 from .mockserve import MockServer
 
@@ -71,14 +71,18 @@ def _record_to_dict(rec: pipeline.TransmissionRecord) -> dict:
     return out
 
 
+def _check_count(count: int) -> None:
+    if count < 1:
+        raise ConfigError(f"--count must be >= 1, got {count}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_gen_channels(args) -> int:
     pipeline.PipelineConfig(rows=args.rows, cols=args.cols, sigma_f=args.sigma_f,
                             sigma_t=args.sigma_t).validate()
-    if args.count < 1:
-        raise ConfigError(f"--count must be >= 1, got {args.count}")
+    _check_count(args.count)
     rng_seeds = [pipeline.derive_seed(args.seed, i) for i in range(args.count)]
     grids = [channel.gen_channel(s, args.rows, args.cols, args.sigma_f,
                                  args.sigma_t) for s in rng_seeds]
@@ -95,11 +99,12 @@ def _cmd_train_cge(args) -> int:
     realizations = args.channels and channel.load_channel_dataset(args.channels)
     cge.check_training_setup(hyper, len(realizations) if args.channels else args.pairs,
                              cfg.rows, cfg.cols)
+    grid = realizations and realizations[0].gains.shape
+    if grid and grid != (cfg.rows, cfg.cols):
+        raise ConfigError(f"channel dataset {args.channels} holds {grid[0]}x"
+                          f"{grid[1]} grids, config grid is {cfg.rows}x{cfg.cols}")
+    check_writable(args.out)
     if args.channels:
-        grid = realizations[0].gains.shape
-        if grid != (cfg.rows, cfg.cols):
-            raise ConfigError(f"channel dataset {args.channels} holds {grid[0]}x"
-                              f"{grid[1]} grids, config grid is {cfg.rows}x{cfg.cols}")
         pairs = cge.pairs_from_realizations(realizations, pattern, snr,
                                             noise_seed=args.data_seed)
     else:
@@ -113,6 +118,7 @@ def _cmd_train_cge(args) -> int:
 
 
 def _cmd_eval_cge(args) -> int:
+    _check_count(args.count)
     cfg = _config_from_args(args)
     cfg.model_path = args.model or cfg.model_path
     model = pipeline._load_model(cfg.validate())

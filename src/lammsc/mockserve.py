@@ -140,14 +140,34 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(500, {"error": "internal", "message": str(exc)})
 
 
-class _Server(ThreadingHTTPServer):
-    """Keeps its open connections, so that closing the server ends the
-    kept-alive ones too instead of leaving their threads answering."""
+class MockServer(ThreadingHTTPServer):
+    """Threaded HTTP server for wire-contract tests and `mock-serve`.
 
-    def __init__(self, address):
-        super().__init__(address, _Handler)
+    It keeps its open connections, so that stopping it ends the kept-alive
+    ones too instead of leaving their threads answering.
+    """
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0):
+        super().__init__((host, port), _Handler)
         self._lock = threading.Lock()
         self._open: set[socket.socket] = set()
+        self._thread: threading.Thread | None = None
+
+    @property
+    def url(self) -> str:
+        host, port = self.server_address[:2]
+        return f"http://{host}:{port}"
+
+    def start(self) -> "MockServer":
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self._thread.start()
+        return self
+
+    def stop(self):
+        self.shutdown()
+        self.server_close()
+        if self._thread:
+            self._thread.join(timeout=5)
 
     def process_request(self, request, client_address):
         with self._lock:
@@ -167,34 +187,6 @@ class _Server(ThreadingHTTPServer):
                     request.shutdown(socket.SHUT_RDWR)
                 except OSError:
                     pass  # the peer is already gone
-
-
-class MockServer:
-    """Threaded HTTP server for wire-contract tests and `mock-serve`."""
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0):
-        self._server = _Server((host, port))
-        self._thread: threading.Thread | None = None
-
-    @property
-    def url(self) -> str:
-        host, port = self._server.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def start(self) -> "MockServer":
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self):
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread:
-            self._thread.join(timeout=5)
-
-    def serve_forever(self):
-        self._server.serve_forever()
 
     def __enter__(self):
         return self.start()

@@ -1,9 +1,9 @@
 """Minimal differentiable kernels: conv/deconv/dense layers, losses, Adam.
 
-Everything runs on float32 numpy arrays ("tensors") shaped (C, H, W) or
-(N, C, H, W) for image-like data and (F,) or (N, F) for flat data. The
-network graphs used here are fixed feed-forward chains, so gradients are
-computed from explicit per-layer cached inputs instead of a general tape.
+Layers run only through ``Sequential``, on batched float32 arrays shaped
+(N, C, H, W) for image-like data and (N, F) for flat data. The network
+graphs used here are fixed feed-forward chains, so gradients are computed
+from explicit per-layer cached inputs instead of a general tape.
 All operations are deterministic: identical inputs give bit-identical
 outputs.
 
@@ -174,16 +174,6 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
     return cols.reshape(n, c * k * k, oh * ow), oh, ow
 
 
-def _as_batched(x: np.ndarray, rank: int):
-    x = np.asarray(x, dtype=np.float32)
-    if x.ndim == rank - 1:
-        return x[None], True
-    if x.ndim == rank:
-        return x, False
-    raise ShapeError(f"expected a rank-{rank - 1} or rank-{rank} tensor, got shape "
-                     f"{x.shape}")
-
-
 # ---------------------------------------------------------------------------
 # layer forward/backward kernels
 
@@ -236,7 +226,7 @@ def _conv_adjoint(wmat: np.ndarray, d: np.ndarray, x_shape, k: int, stride: int,
 def _conv_forward(p: LayerParams, x: np.ndarray):
     o, ci, k, _ = p.weights.shape
     if x.shape[1] != ci:
-        raise ShapeError(f"conv2d: input has {x.shape[1]} channels but weights "
+        raise ShapeError(f"conv: input has {x.shape[1]} channels but weights "
                          f"{p.weights.shape} expect {ci} (input shape {x.shape})")
     z, cols, oh, ow = _conv_map(p.weights.reshape(o, -1), x, k, p.stride,
                                 p.padding)
@@ -258,13 +248,13 @@ def _conv_backward(p: LayerParams, cache, dz: np.ndarray):
 def _deconv_forward(p: LayerParams, x: np.ndarray):
     ci, co, k, _ = p.weights.shape
     if x.shape[1] != ci:
-        raise ShapeError(f"deconv2d: input has {x.shape[1]} channels but weights "
+        raise ShapeError(f"deconv: input has {x.shape[1]} channels but weights "
                          f"{p.weights.shape} expect {ci} (input shape {x.shape})")
     n, _, h, w = x.shape
     oh = deconv_out_size(h, k, p.stride, p.padding)
     ow = deconv_out_size(w, k, p.stride, p.padding)
     if oh < 1 or ow < 1:
-        raise ShapeError(f"deconv2d output would be {oh}x{ow} for input {h}x{w}")
+        raise ShapeError(f"deconv output would be {oh}x{ow} for input {h}x{w}")
     z = _conv_adjoint(p.weights.reshape(ci, -1), x.reshape(n, ci, h * w),
                       (n, co, oh, ow), k, p.stride, p.padding)
     z += p.bias[None, :, None, None]
@@ -312,32 +302,6 @@ def _layer_backward(p: LayerParams, cache, dy: np.ndarray):
     inner, z = cache
     dz = dy * _activate_grad(p.activation, z, p.slope)
     return _BACKWARD[p.kind](p, inner, dz)
-
-
-# ---------------------------------------------------------------------------
-# public single-layer ops
-
-def _single_layer(op: str, kind: str, params: LayerParams, x: np.ndarray):
-    if params.kind != kind:
-        raise ValueError(f"{op} needs a {kind} layer, got {params.kind!r}")
-    xb, squeeze = _as_batched(x, 2 if kind == "dense" else 4)
-    y, _ = _layer_forward(params, xb, record=False)
-    return y[0] if squeeze else y
-
-
-def conv2d(params: LayerParams, x: np.ndarray) -> np.ndarray:
-    """Strided 2-D convolution + activation on a (C,H,W) or (N,C,H,W) tensor."""
-    return _single_layer("conv2d", "conv", params, x)
-
-
-def deconv2d(params: LayerParams, x: np.ndarray) -> np.ndarray:
-    """Transposed convolution (adjoint of conv2d with the same weights)."""
-    return _single_layer("deconv2d", "deconv", params, x)
-
-
-def dense(params: LayerParams, x: np.ndarray) -> np.ndarray:
-    """Affine map Wx + b (+ activation) on (F,) or (N,F)."""
-    return _single_layer("dense", "dense", params, x)
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +407,11 @@ class AdamState:
     epsilon: float = 1e-8
 
     @classmethod
-    def for_params(cls, params, lr=2e-4, beta1=0.5, beta2=0.999, epsilon=1e-8):
+    def for_params(cls, params, **hyper):
+        """Zeroed accumulators for ``params``; ``hyper`` overrides lr, beta1,
+        beta2 or epsilon."""
         return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params],
-                   step=0, lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
+                   v=[np.zeros_like(p) for p in params], **hyper)
 
 
 def adam_step(params, grads, state: AdamState) -> AdamState:

@@ -23,7 +23,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import cache, partial
 
 import numpy as np
@@ -131,9 +131,6 @@ class PipelineConfig:
             raise ConfigError(f"pilot spacings ({self.pilot_df}, {self.pilot_dt}) "
                               f"leave no data cell")
         return pattern
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
@@ -270,6 +267,20 @@ def _load_model(cfg: PipelineConfig) -> cge.CganModel:
     return model
 
 
+def _setup(cfg: PipelineConfig, profiles=None):
+    """Validate ``cfg`` once and bind what every message of a run shares.
+
+    ``profiles`` is the (sender, receiver) pair, loaded from the config when
+    None. Returns the sorted estimator arms, the bound stages, the pilot
+    lattice and the CGE model, which is loaded only when 'cge' is an arm.
+    """
+    cfg.validate()
+    sender, receiver = profiles or load_profiles(cfg)
+    arms = sorted(set(cfg.estimators or [cfg.estimator]))
+    model = _load_model(cfg) if "cge" in arms else None
+    return arms, _bind_stages(cfg, sender, receiver), cfg.pilot_pattern(), model
+
+
 def load_profiles(cfg: PipelineConfig) -> tuple[Profile, Profile]:
     base = (load_prompt_base(cfg.prompt_base_path) if cfg.prompt_base_path
             else default_prompt_base())
@@ -367,7 +378,7 @@ def _run_message(payload, cfg: PipelineConfig, stages, pattern, model, draws,
     noise once per draw, shared by the arms; one CGE batch covers every draw;
     the reference is embedded once; estimation onward runs once per arm.
     Each record is forked from the shared ones, so it carries their results,
-    timings, flags and first error. Records come back draw-major.
+    timings, flags and first error.
     """
     caption, to_payload, extract, recover, embed = stages
     base = TransmissionRecord(input_payload=payload)
@@ -417,12 +428,11 @@ def run_pipeline(payload, cfg: PipelineConfig, sender: Profile, receiver: Profil
     first, so an invalid set-up raises ConfigError before any stage runs.
     """
     cfg = replace(cfg, snr_db=cfg.snr_db[:1] if snr_db is None else [snr_db],
-                  estimator=estimator or cfg.estimator, estimators=None).validate()
+                  estimator=estimator or cfg.estimator, estimators=None)
+    arms, stages, pattern, model = _setup(cfg, (sender, receiver))
     seed = cfg.master_seed if seed is None else seed
-    pattern = cfg.pilot_pattern()
-    model = _load_model(cfg) if cfg.estimator == "cge" else None
-    return _run_message(payload, cfg, _bind_stages(cfg, sender, receiver), pattern,
-                        model, [(cfg.snr_db[0], seed)], [cfg.estimator])[0]
+    return _run_message(payload, cfg, stages, pattern, model,
+                        [(cfg.snr_db[0], seed)], arms)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +442,8 @@ def sweep(cfg: PipelineConfig, messages) -> SweepReport:
     """Run every (snr, estimator) arm over the corpus with paired seeds.
 
     Each message makes one per-message pass over all SNRs and arms; only
-    (cosine, nmse, ser, failed) of each record is kept. A record whose
+    (cosine, nmse, ser, failed) of each record is kept, in the cell of the
+    record's (snr_db, estimator), and rows come in sorted order. A record whose
     transmit failed before any channel estimate (empty ``frame_ser``) counts
     in accuracy, mean_cosine and n but not in mean_nmse or mean_ser; a cell
     with no estimate at all reports them as nan.
@@ -440,15 +451,9 @@ def sweep(cfg: PipelineConfig, messages) -> SweepReport:
     messages = list(messages)
     if not messages:
         raise ConfigError("sweep needs a non-empty corpus")
-    cfg.validate()
-    sender, receiver = load_profiles(cfg)
-    pattern = cfg.pilot_pattern()
-    arms = sorted(set(cfg.estimators or [cfg.estimator]))
-    model = _load_model(cfg) if "cge" in arms else None
-    stages = _bind_stages(cfg, sender, receiver)
+    arms, stages, pattern, model = _setup(cfg)
     snrs = sorted(set(cfg.snr_db))
-    # keyed in the draw-major order of _run_message's records
-    results = {(snr, est): [] for snr in snrs for est in arms}
+    results = {}
     for idx, payload in enumerate(messages):
         draws = [(snr, derive_seed(cfg.master_seed, idx, _snr_key(snr)))
                  for snr in snrs]
@@ -457,11 +462,12 @@ def sweep(cfg: PipelineConfig, messages) -> SweepReport:
         except Exception as exc:
             exc.add_note(f"in sweep message {idx}")
             raise
-        for cell, rec in zip(results.values(), records):
+        for rec in records:
             estimate = (rec.nmse, rec.ser) if rec.frame_ser else None
-            cell.append((rec.cosine, estimate, rec.error_stage is not None))
+            results.setdefault((rec.snr_db, rec.estimator), []).append(
+                (rec.cosine, estimate, rec.error_stage is not None))
     rows, failures = [], {}
-    for (snr, est), cell in results.items():
+    for (snr, est), cell in sorted(results.items()):
         scores, estimates, failed = zip(*cell)
         estimates = [e for e in estimates if e is not None]
         mean_nmse, mean_ser = ([float(np.mean(v)) for v in zip(*estimates)]

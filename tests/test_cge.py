@@ -65,10 +65,12 @@ class TestArchitecture:
         disc = nn.Sequential(cge.build_discriminator(32, 32, seed=2))
         rng = np.random.default_rng(3)
         x = rng.standard_normal((4, 6, 32, 32)).astype(np.float32)
-        p, z_shape = cge._disc_forward(disc, x, record=False)
-        assert p.shape == (4,)
-        assert np.all((p > 0.0) & (p < 1.0))
-        assert z_shape[2] == 2  # 32 -> 16 -> 8 -> 4 -> 2
+        for target in (1.0, 0.0):
+            # a finite positive BCE: every score lies strictly inside (0, 1)
+            loss, (dx, grads) = cge._disc_pass(disc, x[:, :4], x[:, 4:], target)
+            assert np.isfinite(loss) and loss > 0.0
+            assert dx.shape == x.shape
+            assert [g.shape for g in grads] == [p.shape for p in disc.parameters()]
 
     def test_indivisible_extents_rejected(self):
         with pytest.raises(ValueError, match="divisible"):

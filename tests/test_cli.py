@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from lammsc import channel, cge, cli, corpus, pipeline
+from lammsc import channel, cge, cli, corpus, fileio, pipeline
 
 
 def run_cli(capsys, *argv):
@@ -287,6 +287,43 @@ class TestUnwritableOut:
             "--out", str(out))
         assert code == 2
         assert stderr.startswith(f"error: cannot write {out}: "), stderr
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["missing/m.cge", "taken"])
+    def test_train_cge_fails_before_any_pair(self, capsys, tmp_path, monkeypatch,
+                                             out):
+        monkeypatch.setattr(cge, "make_training_set", None)  # would raise
+        (tmp_path / "taken").mkdir()  # a directory is no model file
+        out = tmp_path / out
+        code, _, stderr = run_cli(capsys, "train-cge", "--pairs", "64", "--epochs",
+                                  "1", *self.GRID, "--out", str(out))
+        assert code == 2
+        assert stderr.startswith(f"error: cannot write {out}: "), stderr
+        assert list(tmp_path.iterdir()) == [tmp_path / "taken"]
+        assert list((tmp_path / "taken").iterdir()) == []
+
+    def test_check_leaves_the_directory_as_it_was(self, tmp_path):
+        target = tmp_path / "m.cge"
+        fileio.check_writable(target)
+        assert list(tmp_path.iterdir()) == []
+        target.write_bytes(b"old")
+        fileio.check_writable(target)
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_bytes() == b"old"
+
+
+class TestEvalCount:
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_is_config_error(self, capsys, tmp_path, monkeypatch,
+                                             tiny_model_path, count):
+        monkeypatch.setattr(cge, "load_model", None)  # loading would raise
+        out = tmp_path / "t.csv"
+        code, stdout, stderr = run_cli(
+            capsys, "eval-cge", "--model", tiny_model_path, "--count", count,
+            "--rows", "16", "--cols", "16", "--out", str(out))
+        assert code == 1
+        assert stderr.startswith("config error: --count must be >= 1"), stderr
+        assert stdout == ""
         assert list(tmp_path.iterdir()) == []
 
 

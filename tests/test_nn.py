@@ -16,11 +16,16 @@ def make_layer(kind, in_ch, out_ch, k, stride, pad, activation="linear", seed=0)
     return nn.deconv_layer(in_ch, out_ch, k, stride, pad, activation, rng=rng)
 
 
+def run_layer(p, x):
+    """One layer's forward on one unbatched sample, through ``nn.Sequential``."""
+    return nn.Sequential([p]).forward(x[None])[0]
+
+
 class TestConv2d:
     def test_all_ones_sum(self):
         p = nn.LayerParams("conv", np.ones((1, 1, 2, 2), np.float32),
                            np.zeros(1, np.float32), stride=1, padding=0)
-        out = nn.conv2d(p, np.ones((1, 3, 3), np.float32))
+        out = run_layer(p, np.ones((1, 3, 3), np.float32))
         assert out.shape == (1, 2, 2)
         assert np.allclose(out, 4.0)
 
@@ -29,13 +34,13 @@ class TestConv2d:
         w[0, 0, 0, 0] = 1.0
         p = nn.LayerParams("conv", w, np.zeros(1, np.float32))
         x = np.arange(16, dtype=np.float32).reshape(1, 4, 4)
-        out = nn.conv2d(p, x)
+        out = run_layer(p, x)
         assert np.array_equal(out[0], x[0, :3, :3])
 
     def test_strided_output_extents(self):
         rng = np.random.default_rng(3)
         p = nn.conv_layer(4, 32, 4, stride=2, padding=1, rng=rng)
-        out = nn.conv2d(p, rng.standard_normal((4, 32, 32)).astype(np.float32))
+        out = run_layer(p, rng.standard_normal((4, 32, 32)).astype(np.float32))
         assert out.shape == (32, 16, 16)
 
     def test_size_formula_lattice(self):
@@ -45,7 +50,7 @@ class TestConv2d:
                 for pad in (0, 1):
                     p = nn.conv_layer(2, 3, k, stride, pad, rng=rng)
                     x = rng.standard_normal((2, 11, 9)).astype(np.float32)
-                    out = nn.conv2d(p, x)
+                    out = run_layer(p, x)
                     eh = (11 + 2 * pad - k) // stride + 1
                     ew = (9 + 2 * pad - k) // stride + 1
                     assert out.shape == (3, eh, ew), (k, stride, pad)
@@ -53,27 +58,27 @@ class TestConv2d:
     def test_channel_mismatch_rejected(self):
         p = make_layer("conv", 4, 8, 3, 1, 1)
         with pytest.raises(ShapeError, match="channels"):
-            nn.conv2d(p, np.zeros((3, 8, 8), np.float32))
+            run_layer(p, np.zeros((3, 8, 8), np.float32))
 
     def test_forward_is_pure(self):
         rng = np.random.default_rng(5)
         p = nn.conv_layer(3, 5, 3, 2, 1, "leaky_relu", rng=rng)
         x = rng.standard_normal((3, 12, 12)).astype(np.float32)
-        assert np.array_equal(nn.conv2d(p, x), nn.conv2d(p, x))
+        assert np.array_equal(run_layer(p, x), run_layer(p, x))
 
 
 class TestDeconv2d:
     def test_broadcast_single_value(self):
         p = nn.LayerParams("deconv", np.ones((1, 1, 2, 2), np.float32),
                            np.zeros(1, np.float32), stride=2, padding=0)
-        out = nn.deconv2d(p, np.ones((1, 1, 1), np.float32))
+        out = run_layer(p, np.ones((1, 1, 1), np.float32))
         assert out.shape == (1, 2, 2)
         assert np.allclose(out, 1.0)
 
     def test_upsampling_extents(self):
         rng = np.random.default_rng(6)
         p = nn.deconv_layer(128, 64, 4, stride=2, padding=1, rng=rng)
-        out = nn.deconv2d(p, rng.standard_normal((128, 4, 4)).astype(np.float32))
+        out = run_layer(p, rng.standard_normal((128, 4, 4)).astype(np.float32))
         assert out.shape == (64, 8, 8)
 
     def test_size_formula_lattice(self):
@@ -85,7 +90,7 @@ class TestDeconv2d:
                         continue
                     p = nn.deconv_layer(2, 3, k, stride, pad, rng=rng)
                     x = rng.standard_normal((2, 6, 5)).astype(np.float32)
-                    out = nn.deconv2d(p, x)
+                    out = run_layer(p, x)
                     eh = (6 - 1) * stride - 2 * pad + k
                     ew = (5 - 1) * stride - 2 * pad + k
                     assert out.shape == (3, eh, ew), (k, stride, pad)
@@ -100,11 +105,11 @@ class TestDeconv2d:
             conv = nn.LayerParams("conv", w, np.zeros(3, np.float32), stride, pad)
             dec = nn.LayerParams("deconv", w, np.zeros(2, np.float32), stride, pad)
             x = rng.standard_normal((2, 4, 4)).astype(np.float32)
-            z = nn.conv2d(conv, x)
+            z = run_layer(conv, x)
             y = rng.standard_normal(z.shape).astype(np.float32)
             lhs = float(np.sum(z.astype(np.float64) * y.astype(np.float64)))
             rhs = float(np.sum(x.astype(np.float64)
-                               * nn.deconv2d(dec, y).astype(np.float64)))
+                               * run_layer(dec, y).astype(np.float64)))
             assert rel_err(lhs, rhs) < 1e-5
 
 
@@ -163,12 +168,12 @@ class TestDense:
     def test_identity(self):
         p = nn.LayerParams("dense", np.eye(4, dtype=np.float32), np.zeros(4, np.float32))
         x = np.array([1.0, -2.0, 3.0, 0.5], np.float32)
-        assert np.array_equal(nn.dense(p, x), x)
+        assert np.array_equal(run_layer(p, x), x)
 
     def test_constant(self):
         p = nn.LayerParams("dense", np.zeros((3, 4), np.float32),
                            np.full(3, 2.5, np.float32))
-        assert np.allclose(nn.dense(p, np.ones(4, np.float32)), 2.5)
+        assert np.allclose(run_layer(p, np.ones(4, np.float32)), 2.5)
 
     def test_matches_dot_product(self):
         rng = np.random.default_rng(9)
@@ -176,7 +181,7 @@ class TestDense:
         x = rng.standard_normal(8).astype(np.float32)
         expected = float(np.dot(p.weights[0].astype(np.float64),
                                 x.astype(np.float64)) + p.bias[0])
-        assert rel_err(float(nn.dense(p, x)[0]), expected) < 1e-6
+        assert rel_err(float(run_layer(p, x)[0]), expected) < 1e-6
 
 
 class TestLosses:

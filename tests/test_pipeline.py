@@ -99,7 +99,7 @@ class TestConfig:
         cfg = pipeline.PipelineConfig(snr_db=[0.0, 10.0], estimator="ls",
                                       master_seed=9)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg.to_dict()))
+        path.write_text(json.dumps(dataclasses.asdict(cfg)))
         loaded = pipeline.PipelineConfig.from_file(path)
         assert loaded == cfg
 

@@ -163,14 +163,14 @@ class TestKeepAlive:
         try:
             with MockServer() as srv:
                 accepted = []
-                get_request = srv._server.get_request
+                get_request = srv.get_request
 
                 def counting_get_request():
                     conn = get_request()
                     accepted.append(conn[1])
                     return conn
 
-                srv._server.get_request = counting_get_request
+                srv.get_request = counting_get_request
                 with ThreadPoolExecutor(threads) as pool:
                     list(pool.map(client, range(threads), timeout=60))
         finally:
