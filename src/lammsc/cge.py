@@ -137,16 +137,18 @@ def estimate(model: CganModel, condition: np.ndarray) -> np.ndarray:
 # training
 
 def _disc_pass(disc: nn.Sequential, conds: np.ndarray, x: np.ndarray,
-               target: float):
+               target: float, **skip):
     """One recorded discriminator pass on (condition, x) pairs against a BCE
     ``target`` for every pair: conv chain, sigmoid of the spatial mean as the
-    (N,) score, then back through the chain. Returns (loss, (dx, grads))."""
+    (N,) score, then back through the chain; ``skip`` takes the keywords of
+    ``Sequential.backward``. Returns (loss, (dx, grads))."""
     z = disc.forward(np.concatenate([conds, x], 1), record=True)
     p = nn.activate("sigmoid", z.mean(axis=(1, 2, 3)))
     t = np.full(p.shape, target, np.float32)
     ds = nn.bce_grad(p, t) * p * (1.0 - p)
     dz = np.broadcast_to((ds / z[0].size)[:, None, None, None], z.shape)
-    return nn.bce_loss(p, t), disc.backward(np.ascontiguousarray(dz, dtype=np.float32))
+    return nn.bce_loss(p, t), disc.backward(
+        np.ascontiguousarray(dz, dtype=np.float32), **skip)
 
 
 def _stack_batch(dataset, indices):
@@ -168,12 +170,14 @@ def check_training_setup(hyper: TrainConfig, count: int, rows: int, cols: int) -
                           f"{rows}x{cols}")
 
 
-def train_cgan(dataset, hyper: TrainConfig | None = None, seed: int = 0) -> CganModel:
+def train_cgan(dataset, hyper: TrainConfig | None = None, seed: int = 0,
+               on_epoch=None) -> CganModel:
     """Adversarial training on (condition, true gains) pairs.
 
     The dataset is split 90/10 train/validation by the seed; losses and
-    validation NMSE are recorded per epoch. Deterministic: the same seed and
-    dataset give bit-identical weights.
+    validation NMSE are recorded per epoch, and ``on_epoch(epoch, history)``,
+    if given, is called after each epoch is recorded. Deterministic: the same
+    seed and dataset give bit-identical weights.
     """
     hyper = hyper or TrainConfig()
     rows, cols = dataset[0][1].shape if len(dataset) else (0, 0)
@@ -202,18 +206,21 @@ def train_cgan(dataset, hyper: TrainConfig | None = None, seed: int = 0) -> Cgan
 
             # discriminator: real pairs up, generated pairs down
             fake = gen.forward(conds, record=True)
-            loss_real, (_, grads_real) = _disc_pass(disc, conds, gains, 1.0)
-            loss_fake, (_, grads_fake) = _disc_pass(disc, conds, fake, 0.0)
+            loss_real, (_, grads_real) = _disc_pass(disc, conds, gains, 1.0,
+                                                    input_grad=False)
+            loss_fake, (_, grads_fake) = _disc_pass(disc, conds, fake, 0.0,
+                                                    input_grad=False)
             d_loss = loss_real + loss_fake
             nn.adam_step(disc.parameters(),
                          [a + b for a, b in zip(grads_real, grads_fake)], d_state)
 
             # generator: fool the updated discriminator, stay close in L1
-            adv_loss, (dx, _) = _disc_pass(disc, conds, fake, 1.0)
+            adv_loss, (dx, _) = _disc_pass(disc, conds, fake, 1.0,
+                                           param_grads=False)
             l1 = nn.l1_loss(fake, gains)
             g_loss = adv_loss + float(lam) * l1
             dfake = dx[:, CONDITION_CHANNELS:] + lam * nn.l1_grad(fake, gains)
-            _, g_grads = gen.backward(dfake)
+            _, g_grads = gen.backward(dfake, input_grad=False)
             nn.adam_step(gen.parameters(), g_grads, g_state)
 
             if not (np.isfinite(d_loss) and np.isfinite(g_loss)):
@@ -225,6 +232,8 @@ def train_cgan(dataset, hyper: TrainConfig | None = None, seed: int = 0) -> Cgan
         history.d_loss.append(float(np.mean(d_losses)))
         history.g_loss.append(float(np.mean(g_losses)))
         history.val_nmse.append(evaluate_nmse(model, val_pairs))
+        if on_epoch is not None:
+            on_epoch(epoch, history)
     return model
 
 

@@ -29,6 +29,11 @@ from .errors import FormatError, ShapeError
 from .fileio import atomic_open
 
 NO_NOISE = math.inf  # snr_db sentinel that disables additive noise
+# Lowest SNR whose per-cell noise power 10^(-snr_db/10) is a finite float32
+# (about -385.3 dB). The complex64 received grid holds the noise amplitude
+# sqrt(power/2)*n, at most 1.3e19*|n| here: finite for any Gaussian draw n,
+# by a margin that does not depend on the draw.
+MIN_SNR_DB = -10.0 * math.log10(float(np.finfo(np.float32).max))
 
 _LMCH_MAGIC = b"LMCH"
 _LMCH_VERSION = 1
@@ -129,15 +134,21 @@ def gen_channel(seed: int, rows: int, cols: int, sigma_f: float = 0.0,
                               int(seed))
 
 
+def noise_variance(snr_db: float) -> float:
+    """Per-cell complex noise power at ``snr_db``: 10^(-snr_db/10), or 0 for
+    NO_NOISE."""
+    return 0.0 if snr_db == NO_NOISE else 10.0 ** (-snr_db / 10.0)
+
+
 def apply_channel(x: np.ndarray, h, snr_db: float, noise_seed: int = 0) -> np.ndarray:
-    """Per-cell fading plus complex Gaussian noise of power 10^(-snr_db/10)."""
+    """Per-cell fading plus complex Gaussian noise of power noise_variance(snr_db)."""
     gains = h.gains if isinstance(h, ChannelRealization) else np.asarray(h)
     x = np.asarray(x)
     if x.shape != gains.shape:
         raise ShapeError(f"apply_channel: frame {x.shape} vs gains {gains.shape}")
     y = x.astype(np.complex128) * gains.astype(np.complex128)
     if snr_db != NO_NOISE:
-        nvar = 10.0 ** (-snr_db / 10.0)
+        nvar = noise_variance(snr_db)
         rng = np.random.default_rng(noise_seed)
         noise = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
         y += np.sqrt(nvar / 2.0) * noise

@@ -110,7 +110,12 @@ def _cmd_train_cge(args) -> int:
     else:
         pairs = cge.make_training_set(args.pairs, cfg.rows, cfg.cols, cfg.sigma_f,
                                       cfg.sigma_t, pattern, snr, args.data_seed)
-    model = cge.train_cgan(pairs, hyper, seed=args.seed)
+    def report(epoch, history):
+        print(f"epoch {epoch + 1}/{hyper.epochs}: d_loss {history.d_loss[-1]:.6g} "
+              f"g_loss {history.g_loss[-1]:.6g} val_nmse {history.val_nmse[-1]:.6g}",
+              file=sys.stderr, flush=True)
+
+    model = cge.train_cgan(pairs, hyper, seed=args.seed, on_epoch=report)
     cge.save_model(model, args.out)
     print(f"trained {args.epochs} epochs on {len(pairs)} pairs at {snr:g} dB; "
           f"validation NMSE {model.history.val_nmse[-1]:.4f}; saved to {args.out}")

@@ -1,34 +1,53 @@
 """Minimal differentiable kernels: conv/deconv/dense layers, losses, Adam.
 
-Layers run only through ``Sequential``, on batched float32 arrays shaped
-(N, C, H, W) for image-like data and (N, F) for flat data. The network
-graphs used here are fixed feed-forward chains, so gradients are computed
-from explicit per-layer cached inputs instead of a general tape.
-All operations are deterministic: identical inputs give bit-identical
-outputs.
+Layers run only through ``Sequential``, which takes and returns batched
+float32 arrays shaped (N, C, H, W) for image-like data and (N, F) for flat
+data. Inside the chain activations are channel-major, (C, N, H, W) or
+(F, N): ``Sequential`` swaps the first two axes once on the way in and once
+on the way out. The network graphs used here are fixed feed-forward chains,
+so gradients are computed from explicit per-layer cached inputs instead of a
+general tape. All operations are deterministic: identical inputs give
+bit-identical outputs.
 
-Conv kernels. A conv layer computes W @ im2col(x) per sample, on an
-(N, C*k*k, OH*OW) patch matrix. ``_im2col`` pads the input into a zeroed
-buffer and gathers the patches with one ``np.take`` per (sample, channel)
-row, in (u, v, row, column) tap order. The weight gradient sums over
-samples and cells with ``np.tensordot``; it keeps the contiguous operands
-that tensordot builds, because every transposed-operand form of that
-product was measured to change dw bytes on small shapes, where OpenBLAS
-switches to kernels that sum in another order.
+Conv kernels. A conv layer's patch matrix is (C*k*k, N*OH*OW): row
+(c, u, v) holds tap (u, v) of channel c, and the samples' patch columns sit
+side by side, so the batch is a GEMM's column count without any copy.
+``_im2col`` fills a zeroed matrix with one strided copy per tap, of the
+patch cells whose tap lands inside the input; the rest is the zero padding.
 
-The adjoint col2im(W.T @ d), used for conv dx and the deconv forward, sums
-by output phase. Output cell (y, x) lies in phase (y % stride, x % stride);
-tap u of patch row a lands on row a*stride + u - pad, which is in phase
+The GEMM rule. A forward map (W @ im2col(x) for conv, its adjoint W.T @ x
+for deconv, W @ x for dense) runs one GEMM per sample, on that sample's
+column block. A backward product (dw = d @ cols.T, the conv dx = W.T @ d,
+the deconv dx = W @ im2col(d)) is one GEMM over the whole batch. Why:
+OpenBLAS picks its kernels and blocking by the operand shapes, so a GEMM
+whose column count grows with the batch may sum in another order than the
+per-sample one. Folding the batch was measured to change bytes on some
+shapes, all with 4 or 16 cells per sample or at most 2 output rows, the
+16x16 generator's second and third conv among them. A per-sample GEMM has
+the same shape at any batch size, so a grid's forward output does not depend
+on the batch it rides in. The backward products feed only training, where
+one GEMM per product is faster. The bias gradient is summed over a
+contiguous batch-major copy, so it has the bytes of a sum over an
+(N, O, cells) array, which no reduction on the channel-major layout gives.
+One shape falls outside the rule: a map with one output row and one cell
+per sample (the discriminator head on a 16x16 grid) is a dot product, which
+OpenBLAS sums in another order on the strided column block of a batch than
+on the contiguous one of a single sample.
+
+The adjoint col2im, used for conv dx and the deconv forward, sums by output
+phase. Output cell (y, x) lies in phase (y % stride, x % stride); tap u of
+patch row a lands on row a*stride + u - pad, which is in phase
 (u - pad) % stride at plane row a + (u - pad) // stride, and likewise for
 columns. Each phase plane is stored flat with the patch grid's row length
 OW (wider, zero-filled, when a plane has more columns than OW), so a tap is
-one shifted copy of its dense patch plane into a zero-filled buffer and one
-dense add into the phase plane. Patch columns that fall outside the plane
-are zeroed first; they would otherwise wrap into a neighbouring row. The
-taps are added in the (u, v) order of a direct scatter-add, onto planes
-that start at +0.0, and adding a +0.0 never changes a sum that started
-there, so every output cell gets the same bytes as the scatter-add. One
-strided copy per phase then interleaves the planes into (N, C, H, W).
+one dense add of its shifted patch plane into a slice of the phase plane.
+Patch columns that fall outside the plane are zeroed first; they would
+otherwise wrap into a neighbouring row. The taps are added in the (u, v)
+order of a direct scatter-add, onto planes that start at +0.0. A
+round-to-nearest sum that starts at +0.0 never becomes -0.0, and adding
++0.0 to it changes nothing, so the zeroed columns and the skipped ends of a
+shifted tap leave every output cell with the bytes of the scatter-add. One
+strided copy per phase then interleaves the planes into (C, N, H, W).
 """
 
 from __future__ import annotations
@@ -75,8 +94,8 @@ class LayerParams:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.activation == "leaky_relu" and not 0.0 < self.slope < 1.0:
-            raise ValueError(f"leaky_relu slope must be in (0,1), got {self.slope}")
+        if self.activation == "leaky_relu":
+            _check_slope(self.slope)
         if self.stride < 1 or self.padding < 0:
             raise ValueError("stride must be >= 1 and padding >= 0")
         self.weights = np.asarray(self.weights, dtype=np.float32)
@@ -126,6 +145,12 @@ def dense_layer(in_features, out_features, activation="linear", slope=0.2,
 # ---------------------------------------------------------------------------
 # activations
 
+def _check_slope(slope: float):
+    """leaky_relu is max(x, slope*x), which needs slope in (0, 1)."""
+    if not 0.0 < slope < 1.0:
+        raise ValueError(f"leaky_relu slope must be in (0,1), got {slope}")
+
+
 def activate(kind: str, x: np.ndarray, slope: float = 0.2) -> np.ndarray:
     """Elementwise activation; total on all finite inputs."""
     x = np.asarray(x, dtype=np.float32)
@@ -134,23 +159,25 @@ def activate(kind: str, x: np.ndarray, slope: float = 0.2) -> np.ndarray:
     if kind == "relu":
         return np.maximum(x, 0.0)
     if kind == "leaky_relu":
-        return np.where(x >= 0.0, x, np.float32(slope) * x)
+        _check_slope(slope)
+        return np.maximum(x, np.float32(slope) * x)
     if kind == "sigmoid":
         z = np.clip(x, -_SIGMOID_CLIP, _SIGMOID_CLIP)
         return (1.0 / (1.0 + np.exp(-z))).astype(np.float32)
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def _activate_grad(kind: str, z: np.ndarray, slope: float) -> np.ndarray:
+def _activate_grad(kind: str, z: np.ndarray, dy: np.ndarray, slope: float) -> np.ndarray:
+    """dy times the activation's derivative at z."""
     if kind == "linear":
-        return np.ones_like(z)
+        return dy
     if kind == "relu":
-        return (z > 0.0).astype(np.float32)
+        return dy * (z > 0.0)
     if kind == "leaky_relu":
-        return np.where(z >= 0.0, np.float32(1.0), np.float32(slope))
+        return np.where(z >= 0.0, dy, np.float32(slope) * dy)
     if kind == "sigmoid":
         s = activate("sigmoid", z)
-        return s * (1.0 - s)
+        return dy * (s * (1.0 - s))
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -158,133 +185,164 @@ def _activate_grad(kind: str, z: np.ndarray, slope: float) -> np.ndarray:
 # im2col plumbing
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
-    """(N,C,H,W) -> (N, C*k*k, OH*OW) patch matrix, OH and OW."""
-    n, c, h, w = x.shape
+    """(C,N,H,W) -> (C*k*k, N*OH*OW) patch matrix, OH and OW."""
+    c, n, h, w = x.shape
     oh = conv_out_size(h, k, stride, pad)
     ow = conv_out_size(w, k, stride, pad)
     if oh < 1 or ow < 1:
         raise ShapeError(f"kernel {k} with stride {stride}, padding {pad} does not "
                          f"fit input {h}x{w}")
-    xp = np.zeros((n * c, h + 2 * pad, w + 2 * pad), x.dtype)
-    xp[:, pad:pad + h, pad:pad + w] = x.reshape(n * c, h, w)
-    u, v, a, b = np.ix_(range(k), range(k), range(0, stride * oh, stride),
-                        range(0, stride * ow, stride))
-    cells = ((u + a) * (w + 2 * pad) + v + b).ravel()  # patch order (u, v, a, b)
-    cols = np.take(xp.reshape(n * c, -1), cells, axis=1)
-    return cols.reshape(n, c * k * k, oh * ow), oh, ow
+
+    def inside(t, size, out):
+        """Patch rows (or columns) lo:hi whose tap t lands inside the input,
+        and the input row (or column) of patch row lo."""
+        lo = max(0, -((t - pad) // stride))
+        hi = min(out, (size - 1 + pad - t) // stride + 1)
+        return lo, max(lo, hi), lo * stride + t - pad
+
+    cols = np.zeros((c, k, k, n, oh, ow), x.dtype)  # the padding stays zero
+    for u in range(k):
+        a0, a1, y0 = inside(u, h, oh)
+        for v in range(k):
+            b0, b1, x0 = inside(v, w, ow)
+            cols[:, u, v, :, a0:a1, b0:b1] = x[:, :, y0:y0 + (a1 - a0) * stride:stride,
+                                               x0:x0 + (b1 - b0) * stride:stride]
+    return cols.reshape(c * k * k, n * oh * ow), oh, ow
 
 
-# ---------------------------------------------------------------------------
-# layer forward/backward kernels
-
-# A conv layer's two linear maps, on its (out, in*k*k) weight matrix W:
-# x -> W @ im2col(x) and its adjoint d -> col2im(W.T @ d). A deconv holding
-# the same array applies them the other way round.
-
-def _conv_map(wmat: np.ndarray, x: np.ndarray, k: int, stride: int, pad: int):
-    """W @ im2col(x); returns it as (N, out, OH*OW), the patches, OH and OW."""
-    cols, oh, ow = _im2col(x, k, stride, pad)
-    return np.matmul(wmat, cols), cols, oh, ow
+def _per_sample(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """a @ b as one GEMM per sample: b is (rows, n*cells), its column blocks
+    the samples; returns (a rows, n*cells) in the same block layout."""
+    out = np.empty((a.shape[0], b.shape[1]), np.float32)
+    np.matmul(a, b.reshape(b.shape[0], n, -1).swapaxes(0, 1),
+              out=out.reshape(a.shape[0], n, -1).swapaxes(0, 1))
+    return out
 
 
-def _conv_adjoint(wmat: np.ndarray, d: np.ndarray, x_shape, k: int, stride: int,
-                  pad: int) -> np.ndarray:
-    """col2im(W.T @ d) for d shaped (N, out, OH*OW); returns x_shape.
+def _bias_grad(d: np.ndarray, n: int) -> np.ndarray:
+    """Per-row sum of a channel-major (O, N*cells) gradient, reduced over a
+    contiguous (N, O, cells) copy so the sum runs in the order of a
+    batch-major layout."""
+    return np.ascontiguousarray(d.reshape(d.shape[0], n, -1).swapaxes(0, 1)).sum(
+        axis=(0, 2))
 
-    The taps are summed by output phase, as the module docstring describes.
-    """
-    n, c, h, w = x_shape
+
+def _col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int) -> np.ndarray:
+    """Adjoint of ``_im2col``: sums a (C*k*k, N*OH*OW) patch matrix into
+    x_shape (C, N, H, W), by output phase as the module docstring describes."""
+    c, n, h, w = x_shape
     oh = conv_out_size(h, k, stride, pad)
     ow = conv_out_size(w, k, stride, pad)
     rows, width = -(-h // stride), max(ow, -(-w // stride))
-    cols = np.matmul(wmat.T, d).reshape(n, c, k, k, oh, ow)
+    cols = cols.reshape(c, k, k, n, oh, ow)
     if width > ow:
         cols = np.pad(cols, ((0, 0),) * 5 + ((0, width - ow),))
     # tap t lands in phase (t - pad) % stride, shifted by (t - pad) // stride
     taps = [((t - pad) % stride, (t - pad) // stride) for t in range(k)]
     for v, (rx, dj) in enumerate(taps):  # these columns would wrap into another row
-        cols[:, :, :, v, :, :max(0, -dj)] = 0
-        cols[:, :, :, v, :, max(0, -(-(w - rx) // stride) - dj):] = 0
-    cols = cols.reshape(n, c, k, k, oh * width)
+        cols[:, :, v, :, :, :max(0, -dj)] = 0
+        cols[:, :, v, :, :, max(0, -(-(w - rx) // stride) - dj):] = 0
+    cols = cols.reshape(c, k, k, n, oh * width)
     size = rows * width
-    planes = np.zeros((stride, stride, n, c, size), d.dtype)
-    shifted = np.empty((n, c, size), d.dtype)
+    planes = np.zeros((stride, stride, c, n, size), cols.dtype)
     for u, (ry, di) in enumerate(taps):
         for v, (rx, dj) in enumerate(taps):
             s = di * width + dj
-            lo, hi = max(0, s), max(0, s, min(size, oh * width + s))
-            shifted[:, :, :lo] = shifted[:, :, hi:] = 0
-            shifted[:, :, lo:hi] = cols[:, :, u, v, lo - s:hi - s]
-            planes[ry, rx] += shifted
-    out = np.empty(x_shape, d.dtype)
+            lo, hi = max(0, s), min(size, oh * width + s)
+            if lo < hi:
+                planes[ry, rx, :, :, lo:hi] += cols[:, u, v, :, lo - s:hi - s]
+    out = np.empty(x_shape, cols.dtype)
     for ry, rx in np.ndindex(stride, stride):
         out[:, :, ry::stride, rx::stride] = planes[ry, rx].reshape(
-            n, c, rows, width)[:, :, :-(-(h - ry) // stride), :-(-(w - rx) // stride)]
+            c, n, rows, width)[:, :, :-(-(h - ry) // stride), :-(-(w - rx) // stride)]
     return out
 
 
+# ---------------------------------------------------------------------------
+# layer forward/backward kernels, on channel-major arrays
+#
+# A conv layer's two linear maps, on its (out, in*k*k) weight matrix W:
+# x -> W @ im2col(x) and its adjoint d -> col2im(W.T @ d). A deconv holding
+# the same array applies them the other way round. A forward runs its map
+# one GEMM per sample; a backward product is one GEMM over the whole batch.
+# Each backward returns (dx, dw, db), with None for a product not asked for.
+
 def _conv_forward(p: LayerParams, x: np.ndarray):
     o, ci, k, _ = p.weights.shape
-    if x.shape[1] != ci:
-        raise ShapeError(f"conv: input has {x.shape[1]} channels but weights "
-                         f"{p.weights.shape} expect {ci} (input shape {x.shape})")
-    z, cols, oh, ow = _conv_map(p.weights.reshape(o, -1), x, k, p.stride,
-                                p.padding)
-    z = np.add(z, p.bias[:, None], out=z).reshape(x.shape[0], o, oh, ow)
-    return z, (x.shape, cols)
+    if x.shape[0] != ci:
+        raise ShapeError(f"conv: input has {x.shape[0]} channels but weights "
+                         f"{p.weights.shape} expect {ci} (input shape "
+                         f"{(x.shape[1], x.shape[0]) + x.shape[2:]})")
+    n = x.shape[1]
+    cols, oh, ow = _im2col(x, k, p.stride, p.padding)
+    z = _per_sample(p.weights.reshape(o, -1), cols, n)
+    z += p.bias[:, None]
+    return z.reshape(o, n, oh, ow), (x.shape, cols)
 
 
-def _conv_backward(p: LayerParams, cache, dz: np.ndarray):
+def _conv_backward(p: LayerParams, cache, dz: np.ndarray, input_grad: bool,
+                   param_grads: bool):
     x_shape, cols = cache
-    n, o = dz.shape[0], dz.shape[1]
-    dz2 = dz.reshape(n, o, -1)
-    dw = np.tensordot(dz2, cols, axes=([0, 2], [0, 2])).reshape(p.weights.shape)
-    db = dz2.sum(axis=(0, 2))
-    dx = _conv_adjoint(p.weights.reshape(o, -1), dz2, x_shape, p.kernel_size,
-                       p.stride, p.padding)
+    wmat = p.weights.reshape(p.weights.shape[0], -1)
+    d = dz.reshape(wmat.shape[0], -1)
+    dx = dw = db = None
+    if param_grads:
+        dw = (d @ cols.T).reshape(p.weights.shape)
+        db = _bias_grad(d, x_shape[1])
+    if input_grad:
+        dx = _col2im(wmat.T @ d, x_shape, p.kernel_size, p.stride, p.padding)
     return dx, dw, db
 
 
 def _deconv_forward(p: LayerParams, x: np.ndarray):
     ci, co, k, _ = p.weights.shape
-    if x.shape[1] != ci:
-        raise ShapeError(f"deconv: input has {x.shape[1]} channels but weights "
-                         f"{p.weights.shape} expect {ci} (input shape {x.shape})")
-    n, _, h, w = x.shape
+    if x.shape[0] != ci:
+        raise ShapeError(f"deconv: input has {x.shape[0]} channels but weights "
+                         f"{p.weights.shape} expect {ci} (input shape "
+                         f"{(x.shape[1], x.shape[0]) + x.shape[2:]})")
+    _, n, h, w = x.shape
     oh = deconv_out_size(h, k, p.stride, p.padding)
     ow = deconv_out_size(w, k, p.stride, p.padding)
     if oh < 1 or ow < 1:
         raise ShapeError(f"deconv output would be {oh}x{ow} for input {h}x{w}")
-    z = _conv_adjoint(p.weights.reshape(ci, -1), x.reshape(n, ci, h * w),
-                      (n, co, oh, ow), k, p.stride, p.padding)
-    z += p.bias[None, :, None, None]
+    d = _per_sample(p.weights.reshape(ci, -1).T, x.reshape(ci, -1), n)
+    z = _col2im(d, (co, n, oh, ow), k, p.stride, p.padding)
+    z += p.bias[:, None, None, None]
     return z, x
 
 
-def _deconv_backward(p: LayerParams, x, dz: np.ndarray):
-    n, ci, h, w = x.shape
-    dx, cols_dz, _, _ = _conv_map(p.weights.reshape(ci, -1), dz, p.kernel_size,
-                                  p.stride, p.padding)
-    dw = np.tensordot(x.reshape(n, ci, h * w), cols_dz,
-                      axes=([0, 2], [0, 2])).reshape(p.weights.shape)
-    db = dz.sum(axis=(0, 2, 3))
-    return dx.reshape(x.shape), dw, db
+def _deconv_backward(p: LayerParams, x, dz: np.ndarray, input_grad: bool,
+                     param_grads: bool):
+    ci = x.shape[0]
+    wmat = p.weights.reshape(ci, -1)
+    cols_dz, _, _ = _im2col(dz, p.kernel_size, p.stride, p.padding)
+    dx = dw = db = None
+    if param_grads:
+        dw = (x.reshape(ci, -1) @ cols_dz.T).reshape(p.weights.shape)
+        db = _bias_grad(dz.reshape(dz.shape[0], -1), dz.shape[1])
+    if input_grad:
+        dx = (wmat @ cols_dz).reshape(x.shape)
+    return dx, dw, db
 
 
 def _dense_forward(p: LayerParams, x: np.ndarray):
     o, fi = p.weights.shape
-    if x.shape[1] != fi:
-        raise ShapeError(f"dense: input has {x.shape[1]} features but weights "
+    if x.shape[0] != fi:
+        raise ShapeError(f"dense: input has {x.shape[0]} features but weights "
                          f"{p.weights.shape} expect {fi}")
-    z = x @ p.weights.T + p.bias
+    z = _per_sample(p.weights, x, x.shape[1])
+    z += p.bias[:, None]
     return z, x
 
 
-def _dense_backward(p: LayerParams, cache, dz: np.ndarray):
-    x = cache
-    dw = dz.T @ x
-    db = dz.sum(axis=0)
-    dx = dz @ p.weights
+def _dense_backward(p: LayerParams, x, dz: np.ndarray, input_grad: bool,
+                    param_grads: bool):
+    dx = dw = db = None
+    if param_grads:
+        dw = dz @ x.T
+        db = _bias_grad(dz, dz.shape[1])
+    if input_grad:
+        dx = p.weights.T @ dz
     return dx, dw, db
 
 
@@ -298,10 +356,17 @@ def _layer_forward(p: LayerParams, x: np.ndarray, record: bool):
     return y, ((cache, z) if record else None)
 
 
-def _layer_backward(p: LayerParams, cache, dy: np.ndarray):
+def _layer_backward(p: LayerParams, cache, dy: np.ndarray, input_grad: bool,
+                    param_grads: bool):
     inner, z = cache
-    dz = dy * _activate_grad(p.activation, z, p.slope)
-    return _BACKWARD[p.kind](p, inner, dz)
+    dz = _activate_grad(p.activation, z, dy, p.slope)
+    return _BACKWARD[p.kind](p, inner, dz, input_grad, param_grads)
+
+
+def _swap_batch(x: np.ndarray) -> np.ndarray:
+    """Contiguous copy with the first two axes swapped: (N, C, ...) to
+    (C, N, ...) on the way in, and back on the way out."""
+    return np.ascontiguousarray(np.swapaxes(x, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -361,27 +426,34 @@ class Sequential:
 
     def forward(self, x: np.ndarray, record: bool = False) -> np.ndarray:
         caches = []
-        y = np.asarray(x, dtype=np.float32)
+        y = _swap_batch(np.asarray(x, dtype=np.float32))
         for p in self.layers:
             y, cache = _layer_forward(p, y, record)
             caches.append(cache)
         if record:
             self._caches = caches
-        return y
+        return _swap_batch(y)
 
-    def backward(self, dy: np.ndarray):
-        """Return (dx, grads); grads align with parameters(). Consumes the cache."""
+    def backward(self, dy: np.ndarray, *, input_grad: bool = True,
+                 param_grads: bool = True):
+        """Return (dx, grads); grads align with parameters(). Consumes the cache.
+
+        ``input_grad=False`` skips the first layer's input gradient and
+        ``param_grads=False`` every weight and bias gradient; a skipped
+        product comes back as None.
+        """
         if self._caches is None:
             raise RuntimeError("backward called without a recorded forward pass")
         grads: list[np.ndarray] = []
-        d = np.asarray(dy, dtype=np.float32)
-        for p, cache in zip(reversed(self.layers), reversed(self._caches)):
-            d, dw, db = _layer_backward(p, cache, d)
-            grads.append(db)
-            grads.append(dw)
+        d = _swap_batch(np.asarray(dy, dtype=np.float32))
+        for i in reversed(range(len(self.layers))):
+            d, dw, db = _layer_backward(self.layers[i], self._caches[i], d,
+                                        input_grad or i > 0, param_grads)
+            grads += [db, dw]
         self._caches = None
         grads.reverse()
-        return d, grads
+        return (None if d is None else _swap_batch(d),
+                grads if param_grads else None)
 
     def parameters(self) -> list[np.ndarray]:
         out = []

@@ -29,8 +29,9 @@ from functools import cache, partial
 import numpy as np
 
 from . import cge, codec, semeval
-from .channel import (NO_NOISE, PilotPattern, apply_channel, gen_channel,
-                      ls_estimate, make_pilot_pattern, nmse)
+from .channel import (MIN_SNR_DB, NO_NOISE, PilotPattern, apply_channel,
+                      gen_channel, ls_estimate, make_pilot_pattern, nmse,
+                      noise_variance)
 from .errors import ConfigError, LamMscError
 from .fileio import atomic_open
 from .lkb import (Profile, default_prompt_base, load_prompt_base,
@@ -84,9 +85,10 @@ class PipelineConfig:
                               f"{self.rows}x{self.cols}")
         if not self.snr_db:
             raise ConfigError("snr_db list must be non-empty")
-        if not all(-math.inf < snr <= NO_NOISE for snr in self.snr_db):
-            raise ConfigError(f"snr_db entries must be finite or inf (no noise), "
-                              f"got {self.snr_db}")
+        if not all(MIN_SNR_DB <= snr <= NO_NOISE for snr in self.snr_db):
+            raise ConfigError(f"snr_db entries must be inf (no noise) or finite "
+                              f"and >= {MIN_SNR_DB:.6g} dB, where the noise power "
+                              f"is a finite float32; got {self.snr_db}")
         if self.repetition < 1:
             raise ConfigError("repetition must be >= 1")
         self.pilot_pattern()
@@ -354,7 +356,7 @@ def _receive(rec: TransmissionRecord, cfg: PipelineConfig, frames, channel,
     """Estimate, equalize and demodulate one arm's frames; returns the text."""
     gains, ys = channel
     h_ests = _estimate_gains(rec.estimator, ys, gains, pattern, cge_gains)
-    noise_var = 0.0 if rec.snr_db == NO_NOISE else 10.0 ** (-rec.snr_db / 10.0)
+    noise_var = noise_variance(rec.snr_db)
     received, nmses, frame_ser = [], [], []
     for frame, h, y, h_est in zip(frames, gains, ys, h_ests):
         nmses.append(nmse(h_est, h))

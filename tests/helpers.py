@@ -74,10 +74,16 @@ def reference_col2im(cols: np.ndarray, x_shape, k: int, stride: int,
     return xp
 
 
+def _fold_batch(a: np.ndarray) -> np.ndarray:
+    """(N, R, P) -> contiguous (R, N*P): the samples side by side."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(a.shape[1], -1)
+
+
 def reference_layer(kind: str, weights: np.ndarray, bias: np.ndarray, stride: int,
                     pad: int, x: np.ndarray, dz: np.ndarray):
     """(z, dx, dw, db) of one linear conv or deconv layer on a batch, with
-    im2col/col2im and tensordot weight gradients (reference oracle)."""
+    im2col/col2im; the weight gradient is one GEMM over the samples' columns
+    side by side (reference oracle)."""
     n = x.shape[0]
     k = weights.shape[-1]
     if kind == "conv":
@@ -86,7 +92,7 @@ def reference_layer(kind: str, weights: np.ndarray, bias: np.ndarray, stride: in
         cols, oh, ow = reference_im2col(x, k, stride, pad)
         z = (np.matmul(wmat, cols) + bias[:, None]).reshape(n, o, oh, ow)
         dz2 = dz.reshape(n, o, -1)
-        dw = np.tensordot(dz2, cols, axes=([0, 2], [0, 2])).reshape(weights.shape)
+        dw = (_fold_batch(dz2) @ _fold_batch(cols).T).reshape(weights.shape)
         db = dz2.sum(axis=(0, 2))
         dx = reference_col2im(np.matmul(wmat.T, dz2), x.shape, k, stride, pad)
         return z, dx, dw, db
@@ -100,8 +106,8 @@ def reference_layer(kind: str, weights: np.ndarray, bias: np.ndarray, stride: in
     z += bias[None, :, None, None]
     cols_dz, _, _ = reference_im2col(dz, k, stride, pad)
     dx = np.matmul(wmat, cols_dz).reshape(x.shape)
-    dw = np.tensordot(x.reshape(n, ci, h * w), cols_dz,
-                      axes=([0, 2], [0, 2])).reshape(weights.shape)
+    dw = (_fold_batch(x.reshape(n, ci, h * w)) @ _fold_batch(cols_dz).T
+          ).reshape(weights.shape)
     db = dz.sum(axis=(0, 2, 3))
     return z, dx, dw, db
 

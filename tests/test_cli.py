@@ -101,6 +101,26 @@ class TestTrainEval:
         assert lines[0] == "snr_db,cge_nmse,ls_nmse,n"
         assert len(lines) == 3
 
+    def test_train_reports_each_epoch_on_stderr(self, capsys, tmp_path):
+        model_path = tmp_path / "model.cge"
+        code, stdout, stderr = run_cli(
+            capsys, "train-cge", "--out", str(model_path), "--pairs", "64",
+            "--epochs", "2", "--rows", "16", "--cols", "16", "--sigma-f", "2",
+            "--sigma-t", "2", "--snr-db", "10", "--seed", "3", "--data-seed", "4")
+        assert code == 0
+        # stdout and the model bytes are those of a training without the report
+        pattern = pipeline.PipelineConfig(rows=16, cols=16).pilot_pattern()
+        pairs = cge.make_training_set(64, 16, 16, 2.0, 2.0, pattern, 10.0, 4)
+        model = cge.train_cgan(pairs, cge.TrainConfig(epochs=2), seed=3)
+        cge.save_model(model, tmp_path / "direct.cge")
+        assert model_path.read_bytes() == (tmp_path / "direct.cge").read_bytes()
+        assert stdout == (f"trained 2 epochs on 64 pairs at 10 dB; validation NMSE "
+                          f"{model.history.val_nmse[-1]:.4f}; saved to {model_path}\n")
+        h = model.history
+        assert stderr.splitlines() == [
+            f"epoch {i + 1}/2: d_loss {h.d_loss[i]:.6g} g_loss {h.g_loss[i]:.6g} "
+            f"val_nmse {h.val_nmse[i]:.6g}" for i in range(2)]
+
     def test_eval_matches_per_draw_reference(self, capsys, tiny_model_path):
         code, stdout, _ = run_cli(
             capsys, "eval-cge", "--model", tiny_model_path, "--count", "6",
@@ -249,19 +269,23 @@ class TestSetupErrors:
         (["gen-channels", "--out", "{tmp}/c.lmch", "--sigma-f", "nan"], "sigma_f"),
         (["gen-channels", "--out", "{tmp}/c.lmch", "--rows", "2"], "4x4"),
         (["gen-channels", "--out", "{tmp}/c.lmch", "--count", "0"], "--count"),
+        (["run", "--text", "hi", "--snr-db=-3100"], "snr_db"),
+        (["sweep", "--corpus", "{corpus}", "--out", "{tmp}/r.csv",
+          "--snr-db=10,-800"], "snr_db"),
     ], ids=["all-pilot", "zero-spacing", "spacing-over-extent", "zero-epochs",
             "zero-batch", "extents", "few-pairs", "train-nan-sigma",
             "train-channels-grid", "eval-model-grid", "eval-nan-sigma",
-            "gen-nan-sigma", "gen-small-grid", "gen-zero-count"])
+            "gen-nan-sigma", "gen-small-grid", "gen-zero-count",
+            "run-snr-overflows-noise", "sweep-snr-overflows-grid"])
     def test_config_error(self, capsys, tmp_path, monkeypatch, tiny_model_path,
-                          channels16_path, argv, message):
+                          channels16_path, corpus_path, argv, message):
         # a call to any work function would raise
         monkeypatch.setattr(cge, "make_training_set", None)
         monkeypatch.setattr(cge, "pairs_from_realizations", None)
         monkeypatch.setattr(channel, "gen_channel", None)
         code, _, stderr = run_cli(capsys, *[
             a.format(tmp=tmp_path, model16=tiny_model_path,
-                     channels16=channels16_path) for a in argv])
+                     channels16=channels16_path, corpus=corpus_path) for a in argv])
         assert code == 1
         assert stderr.startswith("config error: "), stderr
         assert message in stderr

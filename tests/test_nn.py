@@ -115,7 +115,8 @@ class TestDeconv2d:
 
 class TestReferenceKernels:
     """Forward output, dx, dw and db of one linear layer are byte-equal to the
-    im2col/col2im/tensordot oracle in tests/helpers.py."""
+    oracle in tests/helpers.py: loop-built im2col and col2im, per-sample
+    matmul for z and dx, one folded GEMM for dw, a batch-major sum for db."""
 
     @pytest.mark.parametrize("extents", [(8, 8), (7, 9)], ids=["even", "odd"])
     @pytest.mark.parametrize("batch", [1, 6, 16])
@@ -162,6 +163,11 @@ class TestActivations:
         with pytest.raises(ValueError, match="slope"):
             nn.LayerParams("conv", np.ones((1, 1, 2, 2), np.float32),
                            np.zeros(1, np.float32), activation="leaky_relu", slope=1.5)
+
+    @pytest.mark.parametrize("slope", [1.5, -0.2, 0.0, 1.0])
+    def test_activate_rejects_slope_outside_unit_interval(self, slope):
+        with pytest.raises(ValueError, match="slope"):
+            nn.activate("leaky_relu", np.array([-1.0, 3.0], np.float32), slope=slope)
 
 
 class TestDense:
@@ -235,6 +241,36 @@ class TestBackward:
         dx, grads = net.backward(dy)
         assert np.array_equal(dx, dx_ref)
         assert all(np.array_equal(g, r) for g, r in zip(grads, grads_ref))
+
+    @pytest.mark.parametrize("input_grad, param_grads",
+                             [(False, True), (True, False), (False, False)])
+    @pytest.mark.parametrize("kinds", [("conv", "deconv"), ("deconv", "conv"),
+                                       ("dense",)], ids=["conv-deconv",
+                                                         "deconv-conv", "dense"])
+    def test_skipped_products_are_none_and_the_rest_unchanged(
+            self, kinds, input_grad, param_grads):
+        rng = np.random.default_rng(19)
+        if kinds == ("dense",):
+            net = nn.Sequential([nn.dense_layer(6, 4, "leaky_relu", rng=rng),
+                                 nn.dense_layer(4, 3, rng=rng)])
+            x = rng.standard_normal((5, 6)).astype(np.float32)
+        else:
+            net = nn.Sequential([make_layer(kinds[0], 2, 3, 4, 2, 1, "leaky_relu", 19),
+                                 make_layer(kinds[1], 3, 2, 4, 2, 1, seed=20)])
+            x = rng.standard_normal((5, 2, 8, 8)).astype(np.float32)
+        dy = rng.standard_normal(net.forward(x).shape).astype(np.float32)
+        net.forward(x, record=True)
+        dx_full, grads_full = net.backward(dy)
+        net.forward(x, record=True)
+        dx, grads = net.backward(dy, input_grad=input_grad, param_grads=param_grads)
+        if input_grad:
+            assert dx.tobytes() == dx_full.tobytes()
+        else:
+            assert dx is None
+        if param_grads:
+            assert [g.tobytes() for g in grads] == [g.tobytes() for g in grads_full]
+        else:
+            assert grads is None
 
     def test_constant_loss_zero_gradients(self):
         rng = np.random.default_rng(11)
