@@ -4,28 +4,7 @@ Payloads are converted to text, personalized against a prompt base,
 transmitted as QPSK frames over a simulated fading channel with
 GAN-assisted channel estimation, then recovered and scored by embedding
 cosine similarity.
+
+The modules are the API (``from lammsc import pipeline``); the package
+re-exports nothing, so importing one module loads only what it uses.
 """
-
-from .channel import (ChannelRealization, PilotPattern, apply_channel,
-                      gen_channel, insert_pilots, ls_estimate,
-                      make_pilot_pattern, nmse)
-from .cge import CganModel, estimate, load_model, make_condition, save_model, train_cgan
-from .corpus import load_corpus, save_corpus, synthetic_corpus
-from .lkb import Profile, PromptBase, personalize_extract, personalize_recover
-from .mma import ScenePayload, scene_to_text, text_to_scene
-from .pipeline import PipelineConfig, SweepReport, TransmissionRecord, run_pipeline, sweep
-from .semeval import accuracy, cosine, embed
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ChannelRealization", "PilotPattern", "apply_channel", "gen_channel",
-    "insert_pilots", "ls_estimate", "make_pilot_pattern", "nmse",
-    "CganModel", "estimate", "load_model", "make_condition", "save_model",
-    "train_cgan", "load_corpus", "save_corpus", "synthetic_corpus",
-    "Profile", "PromptBase", "personalize_extract", "personalize_recover",
-    "ScenePayload", "scene_to_text", "text_to_scene",
-    "PipelineConfig", "SweepReport", "TransmissionRecord", "run_pipeline",
-    "sweep", "accuracy", "cosine", "embed",
-    "__version__",
-]

@@ -18,9 +18,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import nn
+from . import fileio, nn
 from .channel import (ChannelRealization, PilotPattern, apply_channel,
-                      gen_channel, insert_pilots, nmse, read_framed, write_framed)
+                      gen_channel, insert_pilots, nmse)
 from .errors import ConfigError, FormatError, ShapeError, TrainingError
 
 _CGE_MAGIC = b"CGE1"
@@ -308,10 +308,10 @@ def save_model(model: CganModel, path) -> None:
               "history": asdict(model.history),
               "generator": [_layer_spec(p) for p in model.generator.layers],
               "discriminator": [_layer_spec(p) for p in model.discriminator.layers]}
-    write_framed(path, _CGE_MAGIC, _CGE_VERSION, header,
-                 (np.ascontiguousarray(a, dtype="<f4").tobytes()
-                  for p in model.generator.layers + model.discriminator.layers
-                  for a in (p.weights, p.bias)))
+    fileio.write_framed(path, _CGE_MAGIC, _CGE_VERSION, header,
+                        (np.ascontiguousarray(a, dtype="<f4").tobytes()
+                         for p in model.generator.layers + model.discriminator.layers
+                         for a in (p.weights, p.bias)))
 
 
 def _read_layers(path, specs, body: bytes, offset: int):
@@ -342,7 +342,7 @@ def _read_layers(path, specs, body: bytes, offset: int):
 
 
 def load_model(path) -> CganModel:
-    header, body = read_framed(path, _CGE_MAGIC, _CGE_VERSION, "CGE model")
+    header, body = fileio.read_framed(path, _CGE_MAGIC, _CGE_VERSION, "CGE model")
     try:
         rows, cols = int(header["rows"]), int(header["cols"])
         hyper = TrainConfig(**header["hyper"])

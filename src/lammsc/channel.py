@@ -9,7 +9,7 @@ circulant matrix, h = Cf @ h @ Ct.T in complex128, cached per (extent,
 sigma); its rows hold the taps wrapped around the extent, summed where the
 kernel is wider than the grid.
 
-Dataset file format (magic ``LMCH``, version 1):
+Dataset file format (magic ``LMCH``, version 1), in the ``fileio`` frame:
   4 bytes magic, 1 byte version, little-endian uint32 header length,
   UTF-8 JSON header {rows, cols, sigma_f, sigma_t, count, seeds},
   then ``count`` grids as little-endian interleaved float32 re/im pairs.
@@ -18,15 +18,13 @@ Dataset file format (magic ``LMCH``, version 1):
 from __future__ import annotations
 
 import functools
-import json
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, ShapeError
-from .fileio import atomic_open
+from .fileio import read_framed, write_framed
 
 NO_NOISE = math.inf  # snr_db sentinel that disables additive noise
 # Lowest SNR whose per-cell noise power 10^(-snr_db/10) is a finite float32
@@ -34,6 +32,11 @@ NO_NOISE = math.inf  # snr_db sentinel that disables additive noise
 # sqrt(power/2)*n, at most 1.3e19*|n| here: finite for any Gaussian draw n,
 # by a margin that does not depend on the draw.
 MIN_SNR_DB = -10.0 * math.log10(float(np.finfo(np.float32).max))
+# Largest smoothing std, in cells. The kernel has 2*ceil(3 sigma)+1 taps, so
+# its size grows with sigma while the grid's does not; at 1e4 (60001 taps) it
+# is already wider than any grid whose extent x extent complex128 circulant
+# (1.6 GB at extent 1e4) fits a desk machine.
+MAX_SIGMA = 1e4
 
 _LMCH_MAGIC = b"LMCH"
 _LMCH_VERSION = 1
@@ -96,7 +99,8 @@ def _gauss_taps(sigma: float) -> np.ndarray:
     """Normalized Gaussian kernel truncated at 3 sigma."""
     radius = int(math.ceil(3.0 * sigma))
     t = np.arange(-radius, radius + 1, dtype=np.float64)
-    taps = np.exp(-0.5 * (t / sigma) ** 2)
+    with np.errstate(over="ignore"):  # t/sigma -> inf at tiny sigma: a zero tap
+        taps = np.exp(-0.5 * (t / sigma) ** 2)
     return taps / taps.sum()
 
 
@@ -104,15 +108,16 @@ def _gauss_taps(sigma: float) -> np.ndarray:
 def _smoothing_matrix(extent: int, sigma: float) -> np.ndarray:
     """Circulant C with C @ x == sum over taps of w * np.roll(x, off, axis=0).
 
-    Built from rolled identities added in tap order, so where the kernel is
-    wider than the extent the wrapped taps sum as the rolls would. Read-only,
-    because every caller shares the cached array.
+    C[i, j] is the sum, in tap order from 0.0, of the taps whose offset is
+    i - j modulo the extent, so where the kernel is wider than the extent the
+    wrapped taps sum as the rolls would. Read-only, because every caller
+    shares the cached array.
     """
     taps = _gauss_taps(sigma)
-    radius = taps.size // 2
-    mat = np.zeros((extent, extent), np.complex128)
-    for off, w in zip(range(-radius, radius + 1), taps):
-        mat += w * np.roll(np.eye(extent), off, axis=0)
+    offsets = np.arange(taps.size) - taps.size // 2
+    wrapped = np.bincount(offsets % extent, weights=taps, minlength=extent)
+    idx = np.arange(extent)
+    mat = wrapped[(idx[:, None] - idx[None, :]) % extent].astype(np.complex128)
     mat.flags.writeable = False
     return mat
 
@@ -217,42 +222,6 @@ def nmse(est: np.ndarray, truth: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# framed files: magic, version byte, uint32 header length, JSON header, body
-
-def write_framed(path, magic: bytes, version: int, header: dict, chunks) -> None:
-    """Write one framed file atomically (``fileio.atomic_open``); ``chunks``
-    are the body's byte strings in order."""
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with atomic_open(path, "wb") as fh:
-        fh.write(magic + struct.pack("<BI", version, len(blob)))
-        fh.write(blob)
-        for chunk in chunks:
-            fh.write(chunk)
-
-
-def read_framed(path, magic: bytes, version: int, kind: str) -> tuple[dict, bytes]:
-    """Check the frame of a ``kind`` file; return its parsed header and body."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise FormatError(f"{path}: cannot read {kind} file ({exc})") from exc
-    if len(blob) < 9 or blob[:4] != magic:
-        raise FormatError(f"{path}: not a {kind} file (bad magic)")
-    if blob[4] != version:
-        raise FormatError(f"{path}: unsupported {kind} version {blob[4]} "
-                          f"(expected {version})")
-    (hlen,) = struct.unpack("<I", blob[5:9])
-    if len(blob) < 9 + hlen:
-        raise FormatError(f"{path}: truncated header")
-    try:
-        header = json.loads(blob[9:9 + hlen].decode("utf-8"))
-    except ValueError as exc:
-        raise FormatError(f"{path}: malformed {kind} header ({exc})") from exc
-    return header, blob[9 + hlen:]
-
-
-# ---------------------------------------------------------------------------
 # dataset persistence
 
 def save_channel_dataset(path, realizations: list[ChannelRealization]) -> None:
@@ -282,6 +251,8 @@ def load_channel_dataset(path) -> list[ChannelRealization]:
         raise FormatError(f"{path}: malformed channel dataset header ({exc})") from exc
     if len(seeds) != count:
         raise FormatError(f"{path}: header lists {len(seeds)} seeds for {count} grids")
+    if rows < 1 or cols < 1:
+        raise FormatError(f"{path}: grid extents must be positive, got {rows}x{cols}")
     grid_bytes = rows * cols * 8
     if len(body) != count * grid_bytes:
         raise FormatError(f"{path}: expected {count * grid_bytes} data bytes, "

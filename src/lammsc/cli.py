@@ -157,7 +157,10 @@ def _load_payload(args, cfg):
     if args.text is not None:
         return args.text
     if args.scene is not None:
-        return scene_from_json(args.scene)
+        try:
+            return scene_from_json(args.scene)
+        except ValueError as exc:
+            raise ConfigError(f"--scene: {exc}") from exc
     scenes = _load_corpus(args, cfg)
     if not 0 <= args.index < len(scenes):
         raise ConfigError(f"--index {args.index} out of range for corpus of "

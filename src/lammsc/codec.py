@@ -8,10 +8,9 @@ needed; unused data cells stay at zero power and are excluded from symbol
 statistics. The chain is the pluggable stand-in for a learned codec: any
 replacement must map text to unit-power data symbols and back.
 
-Every QPSK decision (``demodulate``, ``hard_decide``, ``ser``,
-``rail_error_rate``) uses one quadrant rule: a real or imaginary part is
-negative unless it is ``>= 0``, so zero counts as positive and NaN as
-negative.
+Every QPSK decision (``demodulate``, ``hard_decide``, ``ser``) uses one
+quadrant rule: a real or imaginary part is negative unless it is ``>= 0``,
+so zero counts as positive and NaN as negative.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ class TokenStream:
     """Byte tokens plus exactly one trailing terminator."""
 
     tokens: np.ndarray  # uint16, values 0..256
-    origin_length: int
     missing_terminator: bool = False
     dropped_partial: bool = False
 
@@ -59,7 +57,7 @@ def tokenize(text: str) -> TokenStream:
     tokens = np.empty(len(data) + 1, dtype=np.uint16)
     tokens[:len(data)] = np.frombuffer(data, dtype=np.uint8)
     tokens[-1] = TERMINATOR
-    return TokenStream(tokens, origin_length=len(data))
+    return TokenStream(tokens)
 
 
 def detokenize(ts: TokenStream) -> str:
@@ -114,8 +112,7 @@ def demodulate(symbols: np.ndarray, repetition: int = 1) -> TokenStream:
         values = np.append(values, TERMINATOR)
         missing = True
     tokens = np.where(values == TERMINATOR, TERMINATOR, values & 0xFF).astype(np.uint16)
-    return TokenStream(tokens, origin_length=int(tokens.size - 1),
-                       missing_terminator=missing, dropped_partial=dropped)
+    return TokenStream(tokens, missing_terminator=missing, dropped_partial=dropped)
 
 
 @dataclass
@@ -192,14 +189,3 @@ def ser(sent: np.ndarray, decided: np.ndarray) -> float:
     (sent_re, sent_im), (got_re, got_im) = _negative(sent), _negative(decided)
     errors = (sent_re != got_re) | (sent_im != got_im)
     return float(np.count_nonzero(errors)) / sent.size
-
-
-def rail_error_rate(sent: np.ndarray, decided: np.ndarray) -> float:
-    """Per-rail (per-bit) error rate of the QPSK decisions."""
-    sent = np.asarray(sent).ravel()
-    decided = np.asarray(decided).ravel()
-    if sent.size != decided.size:
-        raise ShapeError(f"rail_error_rate: {sent.size} vs {decided.size} symbols")
-    (sent_re, sent_im), (got_re, got_im) = _negative(sent), _negative(decided)
-    wrong = np.count_nonzero(sent_re != got_re) + np.count_nonzero(sent_im != got_im)
-    return wrong / (2.0 * sent.size)

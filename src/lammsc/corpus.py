@@ -59,7 +59,7 @@ def load_corpus(path) -> list[ScenePayload]:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # or a NUL byte in the path, or not UTF-8
         raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
     scenes = []
     for lineno, line in enumerate(lines, start=1):
@@ -67,7 +67,7 @@ def load_corpus(path) -> list[ScenePayload]:
             raise CorpusError(f"{path}:{lineno}: empty record")
         try:
             scenes.append(scene_from_json(line))
-        except (ValueError, KeyError, TypeError) as exc:
+        except ValueError as exc:
             raise CorpusError(f"{path}:{lineno}: {exc}") from exc
     if not scenes:
         raise CorpusError(f"{path}: corpus is empty")

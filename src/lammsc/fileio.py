@@ -1,4 +1,4 @@
-"""Atomic file writes.
+"""Atomic file writes and the framed binary file layout.
 
 ``atomic_open`` writes to a temporary file in the target's directory and
 moves it over the target only once everything is written, so a reader never
@@ -7,16 +7,24 @@ sees a half-written file and a failed write leaves an existing file as it was.
 can fail before its work instead of at its save. Both map a failed write into
 the error taxonomy in one place: any ``OSError`` on the way becomes
 ``LamMscError("cannot write <path>: ...")``.
+
+The CGE model (``CGE1``) and channel dataset (``LMCH``) files share one
+frame: 4 bytes magic, 1 byte version, little-endian uint32 header length,
+the UTF-8 JSON header (sorted keys, no spaces), then the body.
+``write_framed`` writes one through ``atomic_open``; ``read_framed`` checks
+the frame and maps every fault in it to ``FormatError``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import errno
+import json
 import os
 import secrets
+import struct
 
-from .errors import LamMscError
+from .errors import FormatError, LamMscError
 
 
 @contextlib.contextmanager
@@ -55,3 +63,36 @@ def check_writable(path) -> None:
         if os.path.isdir(path):  # os.replace would fail only at the save
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
                                     os.fspath(path))
+
+
+def write_framed(path, magic: bytes, version: int, header: dict, chunks) -> None:
+    """Write one framed file atomically; ``chunks`` are the body's byte
+    strings in order."""
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with atomic_open(path, "wb") as fh:
+        fh.write(magic + struct.pack("<BI", version, len(blob)))
+        fh.write(blob)
+        for chunk in chunks:
+            fh.write(chunk)
+
+
+def read_framed(path, magic: bytes, version: int, kind: str) -> tuple[dict, bytes]:
+    """Check the frame of a ``kind`` file; return its parsed header and body."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise FormatError(f"{path}: cannot read {kind} file ({exc})") from exc
+    if len(blob) < 9 or blob[:4] != magic:
+        raise FormatError(f"{path}: not a {kind} file (bad magic)")
+    if blob[4] != version:
+        raise FormatError(f"{path}: unsupported {kind} version {blob[4]} "
+                          f"(expected {version})")
+    (hlen,) = struct.unpack("<I", blob[5:9])
+    if len(blob) < 9 + hlen:
+        raise FormatError(f"{path}: truncated header")
+    try:
+        header = json.loads(blob[9:9 + hlen].decode("utf-8"))
+    except ValueError as exc:
+        raise FormatError(f"{path}: malformed {kind} header ({exc})") from exc
+    return header, blob[9 + hlen:]

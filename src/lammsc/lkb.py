@@ -16,7 +16,6 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, ProtocolError
-from .fileio import atomic_open
 from .wire import Endpoint, post_json, require_field
 
 _PLACEHOLDER = ""
@@ -77,16 +76,6 @@ def default_prompt_base() -> PromptBase:
                      ["painting", "reading"], ["a girl"],
                      ["pose", "background"]))
     return base
-
-
-def save_prompt_base(path, base: PromptBase) -> None:
-    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_PROMPT_FIELDS)
-        for p in base.profiles.values():
-            writer.writerow([p.name, p.age, p.identity, p.gender,
-                             ";".join(p.interests), ";".join(p.aliases),
-                             ";".join(p.focus_keywords)])
 
 
 def load_prompt_base(path) -> PromptBase:

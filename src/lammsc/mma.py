@@ -232,14 +232,25 @@ def scene_to_json(p: ScenePayload) -> str:
 
 
 def scene_from_json(blob: str) -> ScenePayload:
-    record = json.loads(blob)
+    """Parse and canonicalize one scene record. Every fault, from bad JSON to a
+    field of the wrong type or an invalid scene, raises ValueError."""
+    try:
+        record = json.loads(blob)
+    except RecursionError as exc:  # nested deeper than the parser goes
+        raise ValueError(f"scene record nests too deep ({exc})") from exc
     if not isinstance(record, dict):
         raise ValueError("scene record must be a JSON object")
-    entities = [(str(d), [str(a) for a in attrs])
-                for d, attrs in record.get("entities", [])]
+    modality, background, pose, entities = (record.get(key, default) for key, default in (
+        ("modality", "image"), ("background", ""), ("pose", ""), ("entities", [])))
+    if not (all(isinstance(s, str) for s in (modality, background, pose))
+            and isinstance(entities, list) and all(
+                isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+                and isinstance(e[1], list) and all(isinstance(a, str) for a in e[1])
+                for e in entities)):
+        raise ValueError(f"scene fields must be strings and entities [descriptor, "
+                         f"[attributes]] string pairs, got {blob!r}")
     return canonical_scene(ScenePayload(
-        str(record.get("modality", "image")), entities,
-        str(record.get("background", "")), str(record.get("pose", ""))))
+        modality, [(d, list(attrs)) for d, attrs in entities], background, pose))
 
 
 # ---------------------------------------------------------------------------
@@ -273,5 +284,5 @@ def transform_remote(payload, target_modality: str, ep: Endpoint):
         scene = scene_from_json(raw.decode("utf-8"))
         scene.modality = target_modality
         return scene
-    except (ValueError, TypeError):  # not a scene record: keep the raw bytes
+    except ValueError:  # not a scene record: keep the raw bytes
         return ScenePayload(target_modality, raw_blob=raw)

@@ -268,11 +268,7 @@ def _col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int) -> np.ndar
 # Each backward returns (dx, dw, db), with None for a product not asked for.
 
 def _conv_forward(p: LayerParams, x: np.ndarray):
-    o, ci, k, _ = p.weights.shape
-    if x.shape[0] != ci:
-        raise ShapeError(f"conv: input has {x.shape[0]} channels but weights "
-                         f"{p.weights.shape} expect {ci} (input shape "
-                         f"{(x.shape[1], x.shape[0]) + x.shape[2:]})")
+    o, _, k, _ = p.weights.shape
     n = x.shape[1]
     cols, oh, ow = _im2col(x, k, p.stride, p.padding)
     z = _per_sample(p.weights.reshape(o, -1), cols, n)
@@ -296,10 +292,6 @@ def _conv_backward(p: LayerParams, cache, dz: np.ndarray, input_grad: bool,
 
 def _deconv_forward(p: LayerParams, x: np.ndarray):
     ci, co, k, _ = p.weights.shape
-    if x.shape[0] != ci:
-        raise ShapeError(f"deconv: input has {x.shape[0]} channels but weights "
-                         f"{p.weights.shape} expect {ci} (input shape "
-                         f"{(x.shape[1], x.shape[0]) + x.shape[2:]})")
     _, n, h, w = x.shape
     oh = deconv_out_size(h, k, p.stride, p.padding)
     ow = deconv_out_size(w, k, p.stride, p.padding)
@@ -326,10 +318,6 @@ def _deconv_backward(p: LayerParams, x, dz: np.ndarray, input_grad: bool,
 
 
 def _dense_forward(p: LayerParams, x: np.ndarray):
-    o, fi = p.weights.shape
-    if x.shape[0] != fi:
-        raise ShapeError(f"dense: input has {x.shape[0]} features but weights "
-                         f"{p.weights.shape} expect {fi}")
     z = _per_sample(p.weights, x, x.shape[1])
     z += p.bias[:, None]
     return z, x
@@ -351,6 +339,10 @@ _BACKWARD = {"conv": _conv_backward, "deconv": _deconv_backward, "dense": _dense
 
 
 def _layer_forward(p: LayerParams, x: np.ndarray, record: bool):
+    if x.shape[0] != p.in_channels():
+        raise ShapeError(f"{p.kind}: input has {x.shape[0]} channels but weights "
+                         f"{p.weights.shape} expect {p.in_channels()} (input shape "
+                         f"{(x.shape[1], x.shape[0]) + x.shape[2:]})")
     z, cache = _FORWARD[p.kind](p, x)
     y = activate(p.activation, z, p.slope)
     return y, ((cache, z) if record else None)

@@ -29,7 +29,7 @@ from functools import cache, partial
 import numpy as np
 
 from . import cge, codec, semeval
-from .channel import (MIN_SNR_DB, NO_NOISE, PilotPattern, apply_channel,
+from .channel import (MAX_SIGMA, MIN_SNR_DB, NO_NOISE, PilotPattern, apply_channel,
                       gen_channel, ls_estimate, make_pilot_pattern, nmse,
                       noise_variance)
 from .errors import ConfigError, LamMscError
@@ -92,9 +92,9 @@ class PipelineConfig:
         if self.repetition < 1:
             raise ConfigError("repetition must be >= 1")
         self.pilot_pattern()
-        if not (0 <= self.sigma_f < math.inf and 0 <= self.sigma_t < math.inf):
-            raise ConfigError("smoothing stds sigma_f and sigma_t must be finite "
-                              "and >= 0")
+        if not (0 <= self.sigma_f <= MAX_SIGMA and 0 <= self.sigma_t <= MAX_SIGMA):
+            raise ConfigError(f"smoothing stds sigma_f and sigma_t must lie in "
+                              f"[0, {MAX_SIGMA:g}]")
         if self.timeout_ms <= 0:
             raise ConfigError(f"timeout_ms must be positive, got {self.timeout_ms}")
         if self.retries < 0:
@@ -146,9 +146,11 @@ class PipelineConfig:
                 raise ConfigError(f"config key {key!r} must be a JSON "
                                   f"{types[key]}, got {value!r}")
         cfg = cls(**data)
+        if any(isinstance(s, bool) for s in cfg.snr_db):
+            raise ConfigError(f"config key 'snr_db' holds a bool: {cfg.snr_db!r}")
         try:
             cfg.snr_db = [float(s) for s in cfg.snr_db]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"config key 'snr_db': {exc}") from exc
         if cfg.estimators is not None:
             cfg.estimators = [str(e) for e in cfg.estimators]
@@ -161,7 +163,7 @@ class PipelineConfig:
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # or nested too deep
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config must be a JSON object")

@@ -87,16 +87,6 @@ def accuracy_from_scores(scores, threshold: float = 0.6) -> float:
     return sum(1 for s in scores if s > threshold) / len(scores)
 
 
-def accuracy(pairs, threshold: float = 0.6) -> float:
-    """Fraction of (sent, recovered) text pairs scoring strictly above threshold."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("accuracy needs at least one pair")
-    return accuracy_from_scores(
-        (cosine(embed(sent), embed(recovered)) for sent, recovered in pairs),
-        threshold)
-
-
 def embed_remote(text: str, ep) -> EmbeddingVector:
     """Fetch the embedding from a remote service speaking the /embed contract."""
     resp = post_json(ep, "/embed", {"text": text})

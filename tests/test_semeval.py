@@ -81,8 +81,9 @@ class TestCosine:
 
 class TestAccuracy:
     def test_identical_pairs_score_one(self):
-        pairs = [("alpha beta gamma", "alpha beta gamma")] * 5
-        assert semeval.accuracy(pairs, 0.6) == 1.0
+        v = semeval.embed("alpha beta gamma")
+        scores = [semeval.cosine(v, semeval.embed("alpha beta gamma"))] * 5
+        assert semeval.accuracy_from_scores(scores, 0.6) == 1.0
 
     def test_counting_above_threshold(self):
         assert semeval.accuracy_from_scores([0.9, 0.7, 0.5, 0.3], 0.6) == 0.5
@@ -100,7 +101,7 @@ class TestAccuracy:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            semeval.accuracy([], 0.6)
+            semeval.accuracy_from_scores([], 0.6)
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError):
