@@ -14,6 +14,7 @@ Model file format (magic ``CGE1``, version 1):
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -314,34 +315,10 @@ def save_model(model: CganModel, path) -> None:
                          for a in (p.weights, p.bias)))
 
 
-def _read_layers(path, specs, body: bytes, offset: int):
-    """Layers from their header specs; a bad spec raises KeyError, TypeError
-    or ValueError, and missing or non-finite weight data a FormatError."""
-    layers = []
-    for spec in specs:
-        w_shape = tuple(spec["w_shape"])
-        b_shape = tuple(spec["b_shape"])
-        if any(d < 0 for d in w_shape + b_shape):
-            raise ValueError(f"negative extent in layer shape {w_shape}/{b_shape}")
-        w_count = int(np.prod(w_shape))
-        b_count = int(np.prod(b_shape))
-        need = (w_count + b_count) * 4
-        if offset + need > len(body):
-            raise FormatError(f"{path}: model file is truncated inside the weight data")
-        w = np.frombuffer(body[offset:offset + w_count * 4], dtype="<f4")
-        offset += w_count * 4
-        b = np.frombuffer(body[offset:offset + b_count * 4], dtype="<f4")
-        offset += b_count * 4
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise FormatError(f"{path}: non-finite weight data")
-        layers.append(nn.LayerParams(spec["kind"], w.reshape(w_shape).copy(),
-                                     b.reshape(b_shape).copy(), spec["stride"],
-                                     spec["padding"], spec["activation"],
-                                     spec["slope"]))
-    return layers, offset
-
-
 def load_model(path) -> CganModel:
+    """Read a CGE1 file: the layer shapes of both networks fix the body's
+    length, which is checked once, then every weight for finiteness, and the
+    body is split into the layers' arrays in one pass."""
     header, body = fileio.read_framed(path, _CGE_MAGIC, _CGE_VERSION, "CGE model")
     try:
         rows, cols = int(header["rows"]), int(header["cols"])
@@ -349,12 +326,24 @@ def load_model(path) -> CganModel:
         if not isinstance(hyper.batch_size, int) or hyper.batch_size < 1:
             raise ValueError(f"batch_size {hyper.batch_size!r} is not a positive int")
         history = TrainHistory(**header["history"])
-        gen_layers, offset = _read_layers(path, header["generator"], body, 0)
-        disc_layers, offset = _read_layers(path, header["discriminator"], body,
-                                            offset)
+        nets = [header["generator"], header["discriminator"]]
+        shapes = [tuple(spec[key]) for net in nets for spec in net
+                  for key in ("w_shape", "b_shape")]
+        if not all(isinstance(d, int) and d >= 0 for shape in shapes for d in shape):
+            raise ValueError(f"layer shapes must hold non-negative ints: {shapes}")
+        sizes = [math.prod(shape) for shape in shapes]
+        if 4 * sum(sizes) != len(body):
+            raise FormatError(f"{path}: the layer shapes need {4 * sum(sizes)} "
+                              f"weight bytes, found {len(body)} (truncated or "
+                              f"trailing data)")
+        values = np.frombuffer(body, dtype="<f4")
+        if not np.isfinite(values).all():
+            raise FormatError(f"{path}: non-finite weight data")
+        arrays = (a.reshape(shape).copy() for a, shape in
+                  zip(np.split(values, np.cumsum(sizes[:-1])), shapes))
+        gen, disc = (nn.Sequential([nn.LayerParams(
+            spec["kind"], next(arrays), next(arrays), spec["stride"], spec["padding"],
+            spec["activation"], spec["slope"]) for spec in net]) for net in nets)
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed CGE model header ({exc})") from exc
-    if offset != len(body):
-        raise FormatError(f"{path}: {len(body) - offset} unexpected trailing bytes")
-    return CganModel(nn.Sequential(gen_layers), nn.Sequential(disc_layers),
-                     rows, cols, hyper, history)
+    return CganModel(gen, disc, rows, cols, hyper, history)

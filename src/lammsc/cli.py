@@ -125,7 +125,7 @@ def _cmd_train_cge(args) -> int:
 def _cmd_eval_cge(args) -> int:
     _check_count(args.count)
     cfg = _config_from_args(args)
-    cfg.model_path = args.model or cfg.model_path
+    cfg.model_path = _required_input(args, cfg, "model")
     model = pipeline._load_model(cfg.validate())
     pattern = cfg.pilot_pattern()
     lines = ["snr_db,cge_nmse,ls_nmse,n"]
@@ -146,11 +146,16 @@ def _cmd_eval_cge(args) -> int:
     return 0
 
 
-def _load_corpus(args, cfg) -> list:
-    path = args.corpus or cfg.corpus_path
+def _required_input(args, cfg, name: str) -> str:
+    """The path of input ``name`` from ``--<name>``, else from ``<name>_path``."""
+    path = getattr(args, name) or getattr(cfg, f"{name}_path")
     if not path:
-        raise ConfigError(f"{args.command} needs a corpus (--corpus or corpus_path)")
-    return corpus.load_corpus(path)
+        raise ConfigError(f"{args.command} needs a {name} (--{name} or {name}_path)")
+    return path
+
+
+def _load_corpus(args, cfg) -> list:
+    return corpus.load_corpus(_required_input(args, cfg, "corpus"))
 
 
 def _load_payload(args, cfg):

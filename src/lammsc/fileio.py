@@ -13,6 +13,11 @@ frame: 4 bytes magic, 1 byte version, little-endian uint32 header length,
 the UTF-8 JSON header (sorted keys, no spaces), then the body.
 ``write_framed`` writes one through ``atomic_open``; ``read_framed`` checks
 the frame and maps every fault in it to ``FormatError``.
+
+``json_object`` is the one JSON decoder for data from outside: config
+files, scene records, framed-file headers, service replies and mock-server
+requests. It turns every decode fault into one ``ValueError`` that each
+caller maps to its own typed error.
 """
 
 from __future__ import annotations
@@ -65,6 +70,19 @@ def check_writable(path) -> None:
                                     os.fspath(path))
 
 
+def json_object(data: bytes | str, what: str) -> dict:
+    """Parse ``data`` (UTF-8 bytes, or text) as one JSON object; bad UTF-8, bad
+    JSON, nesting deeper than the parser goes and any value that is not an
+    object raise ``ValueError`` starting with ``what``."""
+    try:
+        value = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise ValueError(f"{what}: invalid JSON ({exc})") from exc
+    if not isinstance(value, dict):
+        raise ValueError(f"{what}: not a JSON object")
+    return value
+
+
 def write_framed(path, magic: bytes, version: int, header: dict, chunks) -> None:
     """Write one framed file atomically; ``chunks`` are the body's byte
     strings in order."""
@@ -92,7 +110,7 @@ def read_framed(path, magic: bytes, version: int, kind: str) -> tuple[dict, byte
     if len(blob) < 9 + hlen:
         raise FormatError(f"{path}: truncated header")
     try:
-        header = json.loads(blob[9:9 + hlen].decode("utf-8"))
+        header = json_object(blob[9:9 + hlen], f"{path}: malformed {kind} header")
     except ValueError as exc:
-        raise FormatError(f"{path}: malformed {kind} header ({exc})") from exc
+        raise FormatError(str(exc)) from exc
     return header, blob[9 + hlen:]

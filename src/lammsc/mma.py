@@ -23,6 +23,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import CaptionParseError, ProtocolError
+from .fileio import json_object
 from .wire import Endpoint, post_json, require_field
 
 MODALITIES = ("image", "audio", "video")
@@ -231,15 +232,11 @@ def scene_to_json(p: ScenePayload) -> str:
         sort_keys=True, separators=(",", ":"))
 
 
-def scene_from_json(blob: str) -> ScenePayload:
-    """Parse and canonicalize one scene record. Every fault, from bad JSON to a
-    field of the wrong type or an invalid scene, raises ValueError."""
-    try:
-        record = json.loads(blob)
-    except RecursionError as exc:  # nested deeper than the parser goes
-        raise ValueError(f"scene record nests too deep ({exc})") from exc
-    if not isinstance(record, dict):
-        raise ValueError("scene record must be a JSON object")
+def scene_from_json(blob: bytes | str) -> ScenePayload:
+    """Parse and canonicalize one scene record (UTF-8 bytes, or text). Every
+    fault, from bad UTF-8 or JSON to a field of the wrong type or an invalid
+    scene, raises ValueError."""
+    record = json_object(blob, "scene record")
     modality, background, pose, entities = (record.get(key, default) for key, default in (
         ("modality", "image"), ("background", ""), ("pose", ""), ("entities", [])))
     if not (all(isinstance(s, str) for s in (modality, background, pose))
@@ -281,7 +278,7 @@ def transform_remote(payload, target_modality: str, ep: Endpoint):
         except UnicodeDecodeError as exc:
             raise ProtocolError(f"{ep.base_url}: text payload is not UTF-8") from exc
     try:
-        scene = scene_from_json(raw.decode("utf-8"))
+        scene = scene_from_json(raw)
         scene.modality = target_modality
         return scene
     except ValueError:  # not a scene record: keep the raw bytes

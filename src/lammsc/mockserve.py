@@ -28,12 +28,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from . import mma, semeval
 from .errors import CaptionParseError
+from .fileio import json_object
 from .wire import PROTOCOL_VERSION, VERSION_HEADER
 
 _PROMPT_MARKER = "\nText:\n"
 
 
-class _BadRequest(Exception):
+class _BadRequest(ValueError):
     pass
 
 
@@ -48,8 +49,8 @@ def _handle_transform(body: dict) -> dict:
         if source not in mma.MODALITIES:
             raise _BadRequest(f"cannot transform {source!r} to text")
         try:
-            scene = mma.scene_from_json(raw.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
+            scene = mma.scene_from_json(raw)
+        except ValueError as exc:
             raise _BadRequest(f"payload is not a scene record: {exc}") from exc
         out = mma.scene_to_text(scene).encode("utf-8")
     elif source == "text" and target in mma.MODALITIES:
@@ -128,14 +129,9 @@ class _Handler(BaseHTTPRequestHandler):
                              "message": f"unknown route {self.path}"})
             return
         try:
-            body = json.loads(raw.decode("utf-8"))
-            if not isinstance(body, dict):
-                raise _BadRequest("request body must be a JSON object")
-            self._send(200, handler(body))
-        except _BadRequest as exc:
+            self._send(200, handler(json_object(raw, "request body")))
+        except ValueError as exc:  # _BadRequest, or a body json_object rejects
             self._send(400, {"error": "request", "message": str(exc)})
-        except (ValueError, UnicodeDecodeError) as exc:
-            self._send(400, {"error": "request", "message": f"bad request: {exc}"})
         except Exception as exc:  # pragma: no cover - defensive
             self._send(500, {"error": "internal", "message": str(exc)})
 

@@ -20,9 +20,9 @@ run is a pure function of (config, corpus, master seed).
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
 
@@ -33,7 +33,7 @@ from .channel import (MAX_SIGMA, MIN_SNR_DB, NO_NOISE, PilotPattern, apply_chann
                       gen_channel, ls_estimate, make_pilot_pattern, nmse,
                       noise_variance)
 from .errors import ConfigError, LamMscError
-from .fileio import atomic_open
+from .fileio import atomic_open, json_object
 from .lkb import (Profile, default_prompt_base, load_prompt_base,
                   personalize_extract, personalize_recover, personalize_remote)
 from .mma import ScenePayload, scene_to_text, text_to_scene, transform_remote
@@ -59,7 +59,7 @@ class PipelineConfig:
     snr_db: list[float] = field(default_factory=lambda: [10.0])
     repetition: int = 1
     estimator: str = "perfect"
-    estimators: list[str] | None = None  # sweep arms; None means [estimator]
+    estimators: list[str] | None = None  # arms; see arms()
     equalizer: str = "zf"
     mma_backend: str = "mock"
     lkb_backend: str = "mock"
@@ -103,7 +103,7 @@ class PipelineConfig:
             raise ConfigError("threshold must lie in [-1, 1]")
         if self.equalizer not in ("zf", "mmse"):
             raise ConfigError(f"unknown equalizer {self.equalizer!r}")
-        arms = self.estimators or [self.estimator]
+        arms = self.arms()
         for est in arms:
             if est not in ESTIMATORS:
                 raise ConfigError(f"unknown estimator {est!r} "
@@ -120,6 +120,11 @@ class PipelineConfig:
             if backend == "remote" and not endpoint:
                 raise ConfigError(f"{stage} backend 'remote' needs an endpoint")
         return self
+
+    def arms(self) -> list[str]:
+        """The estimator arms: ``estimators`` when non-empty, else [estimator].
+        A sweep runs them all; ``run_pipeline`` runs the first."""
+        return self.estimators or [self.estimator]
 
     def pilot_pattern(self) -> PilotPattern:
         """The pilot lattice; spacings outside [1, extent] or a lattice that
@@ -159,14 +164,12 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
         try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
+            with open(path, "rb") as fh:
+                data = json_object(fh.read(), str(path))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except (ValueError, RecursionError) as exc:  # or nested too deep
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
+        except ValueError as exc:  # or a NUL byte in the path
+            raise ConfigError(str(exc)) from exc
         return cls.from_dict(data)
 
 
@@ -209,7 +212,7 @@ class SweepRow:
 @dataclass
 class SweepReport:
     rows: list
-    failures: dict = field(default_factory=dict)  # "snr/estimator" -> count
+    failures: dict = field(default_factory=dict)  # "snr/estimator/stage" -> count
 
 
 def derive_seed(*parts) -> int:
@@ -280,7 +283,7 @@ def _setup(cfg: PipelineConfig, profiles=None):
     """
     cfg.validate()
     sender, receiver = profiles or load_profiles(cfg)
-    arms = sorted(set(cfg.estimators or [cfg.estimator]))
+    arms = sorted(set(cfg.arms()))
     model = _load_model(cfg) if "cge" in arms else None
     return arms, _bind_stages(cfg, sender, receiver), cfg.pilot_pattern(), model
 
@@ -428,11 +431,13 @@ def run_pipeline(payload, cfg: PipelineConfig, sender: Profile, receiver: Profil
                  seed: int | None = None) -> TransmissionRecord:
     """One end-to-end transmission; stage errors are captured, not raised.
 
-    The config it runs, ``cfg`` with the overrides applied, is validated
-    first, so an invalid set-up raises ConfigError before any stage runs.
+    It runs at ``cfg.snr_db[0]`` with the first of ``cfg.arms()`` unless
+    ``snr_db`` or ``estimator`` overrides them. The config it runs, ``cfg``
+    with the overrides applied, is validated first, so an invalid set-up
+    raises ConfigError before any stage runs.
     """
     cfg = replace(cfg, snr_db=cfg.snr_db[:1] if snr_db is None else [snr_db],
-                  estimator=estimator or cfg.estimator, estimators=None)
+                  estimators=[estimator or cfg.arms()[0]])
     arms, stages, pattern, model = _setup(cfg, (sender, receiver))
     seed = cfg.master_seed if seed is None else seed
     return _run_message(payload, cfg, stages, pattern, model,
@@ -446,11 +451,12 @@ def sweep(cfg: PipelineConfig, messages) -> SweepReport:
     """Run every (snr, estimator) arm over the corpus with paired seeds.
 
     Each message makes one per-message pass over all SNRs and arms; only
-    (cosine, nmse, ser, failed) of each record is kept, in the cell of the
-    record's (snr_db, estimator), and rows come in sorted order. A record whose
-    transmit failed before any channel estimate (empty ``frame_ser``) counts
-    in accuracy, mean_cosine and n but not in mean_nmse or mean_ser; a cell
-    with no estimate at all reports them as nan.
+    (cosine, nmse, ser, error stage) of each record is kept, in the cell of
+    the record's (snr_db, estimator), and rows come in sorted order. A record
+    whose transmit failed before any channel estimate (empty ``frame_ser``)
+    counts in accuracy, mean_cosine and n but not in mean_nmse or mean_ser; a
+    cell with no estimate at all reports them as nan. ``failures`` counts the
+    failed records of each cell by the stage of their first error.
     """
     messages = list(messages)
     if not messages:
@@ -469,19 +475,18 @@ def sweep(cfg: PipelineConfig, messages) -> SweepReport:
         for rec in records:
             estimate = (rec.nmse, rec.ser) if rec.frame_ser else None
             results.setdefault((rec.snr_db, rec.estimator), []).append(
-                (rec.cosine, estimate, rec.error_stage is not None))
-    rows, failures = [], {}
+                (rec.cosine, estimate, rec.error_stage))
+    rows, failures = [], Counter()
     for (snr, est), cell in sorted(results.items()):
-        scores, estimates, failed = zip(*cell)
+        scores, estimates, stages = zip(*cell)
         estimates = [e for e in estimates if e is not None]
         mean_nmse, mean_ser = ([float(np.mean(v)) for v in zip(*estimates)]
                                if estimates else (math.nan, math.nan))
         accuracy = semeval.accuracy_from_scores(scores, cfg.threshold)
         rows.append(SweepRow(snr, est, accuracy, float(np.mean(scores)),
                              mean_nmse, mean_ser, len(messages)))
-        if any(failed):
-            failures[f"{_snr_key(snr)}/{est}"] = sum(failed)
-    return SweepReport(rows, failures)
+        failures.update(f"{_snr_key(snr)}/{est}/{stage}" for stage in stages if stage)
+    return SweepReport(rows, dict(failures))
 
 
 def format_report(report: SweepReport) -> str:

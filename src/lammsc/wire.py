@@ -3,7 +3,8 @@
 All services speak JSON over POST and carry the protocol version in the
 ``X-Protocol-Version`` header. Failures map to a three-way taxonomy:
 transport (unreachable/timeout), protocol (malformed message), and remote
-(the service reported an error).
+(the service reported an error). A reply body is decoded once, by
+``fileio.json_object``.
 
 Each thread keeps one keep-alive ``requests.Session``, shared by every
 ``Endpoint`` it calls, so a run opens one connection per server and thread,
@@ -19,6 +20,7 @@ from urllib.parse import urlsplit
 import requests
 
 from .errors import ProtocolError, RemoteServiceError, TransportError
+from .fileio import json_object
 
 PROTOCOL_VERSION = "lam-msc/1"
 VERSION_HEADER = "X-Protocol-Version"
@@ -76,21 +78,16 @@ def post_json(ep: Endpoint, path: str, body: dict) -> dict:
                 and "close" not in resp.headers.get("Connection", "").lower()):
             kept.add(host)
         if resp.status_code != 200:
-            detail = ""
             try:
-                payload = resp.json()
-                if isinstance(payload, dict):
-                    detail = str(payload.get("message") or payload.get("error") or "")
+                reply = json_object(resp.content, url)
+                detail = str(reply.get("message") or reply.get("error") or "")
             except ValueError:
                 detail = resp.text[:200]
             raise RemoteServiceError(f"{url}: status {resp.status_code}: {detail}")
         try:
-            payload = resp.json()
+            return json_object(resp.content, f"{url}: response")
         except ValueError as exc:
-            raise ProtocolError(f"{url}: response is not JSON") from exc
-        if not isinstance(payload, dict):
-            raise ProtocolError(f"{url}: expected a JSON object response")
-        return payload
+            raise ProtocolError(str(exc)) from exc
     raise TransportError(f"{url}: unreachable after {ep.retries + 1} attempts "
                          f"({last_exc})")
 

@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from lammsc import channel, cge, cli, corpus, fileio, pipeline
+
+from test_fileio import DECODE_FAULTS
 
 
 def run_cli(capsys, *argv):
@@ -198,6 +201,12 @@ class TestRun:
         assert record["estimator"] == "cge"
         assert record["nmse"] > 0.0
 
+    def test_estimators_list_runs_first_arm(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "--text", "a boy and a girl",
+                               "--estimators", "ls,none")
+        assert code == 0
+        assert json.loads(out)["estimator"] == "ls"
+
     def test_missing_payload_is_config_error(self, capsys):
         code, _, stderr = run_cli(capsys, "run")
         assert code == 1
@@ -266,6 +275,8 @@ class TestSetupErrors:
         (["eval-cge", "--model", "{model16}", "--out", "{tmp}/t.csv"], "16x16"),
         (["eval-cge", "--model", "{model16}", "--out", "{tmp}/t.csv", "--rows", "16",
           "--cols", "16", "--sigma-t", "nan"], "sigma_t"),
+        (["eval-cge", "--out", "{tmp}/t.csv"],
+         "eval-cge needs a model (--model or model_path)"),
         (["gen-channels", "--out", "{tmp}/c.lmch", "--sigma-f", "nan"], "sigma_f"),
         (["gen-channels", "--out", "{tmp}/c.lmch", "--rows", "2"], "4x4"),
         (["gen-channels", "--out", "{tmp}/c.lmch", "--count", "0"], "--count"),
@@ -274,7 +285,7 @@ class TestSetupErrors:
           "--snr-db=10,-800"], "snr_db"),
     ], ids=["all-pilot", "zero-spacing", "spacing-over-extent", "zero-epochs",
             "zero-batch", "extents", "few-pairs", "train-nan-sigma",
-            "train-channels-grid", "eval-model-grid", "eval-nan-sigma",
+            "train-channels-grid", "eval-model-grid", "eval-nan-sigma", "eval-no-model",
             "gen-nan-sigma", "gen-small-grid", "gen-zero-count",
             "run-snr-overflows-noise", "sweep-snr-overflows-grid"])
     def test_config_error(self, capsys, tmp_path, monkeypatch, tiny_model_path,
@@ -363,6 +374,16 @@ class TestUnexpectedError:
                           "'modal-transform') (in sweep message 0)\n")
 
 
+# every decode fault in a config file and in a CGE1 and an LMCH header
+_DECODE_CASES = [case for fault in DECODE_FAULTS for case in (
+    (["run", "--text", "hi", "--config", "{tmp}/" + fault + ".json"], 1,
+     "config error: {tmp}/" + fault + ".json: "),
+    (["eval-cge", "--model", "{tmp}/" + fault + ".cge", "--count", "1"], 2,
+     "error: {tmp}/" + fault + ".cge: malformed CGE model header: "),
+    (["train-cge", "--out", "{tmp}/m.cge", "--channels", "{tmp}/" + fault + ".lmch"],
+     2, "error: {tmp}/" + fault + ".lmch: malformed channel dataset header: "))]
+
+
 class TestLoaderErrors:
     """A bad input file or record exits with its taxonomy code, never 'unexpected'."""
 
@@ -389,11 +410,13 @@ class TestLoaderErrors:
         (["run", "--scene", "[" * 10 ** 5], 1, "config error: --scene: "),
         (["run", "--text", "hi", "--config", "{tmp}/deep.json"], 1,
          "config error: {tmp}/deep.json: invalid JSON"),
-    ], ids=["bad-age", "missing-prompt-base", "wrong-json-type",
+    ] + _DECODE_CASES, ids=["bad-age", "missing-prompt-base", "wrong-json-type",
             "missing-model-path", "missing-eval-model", "lmch-negative-extents",
             "nul-corpus-path", "nul-model-path", "scene-not-json",
             "scene-not-an-object", "scene-unknown-modality", "scene-null-background",
-            "scene-string-entity", "scene-nested-too-deep", "config-nested-too-deep"])
+            "scene-string-entity", "scene-nested-too-deep", "config-nested-too-deep",
+            *(f"{site}-{fault}" for fault in DECODE_FAULTS
+              for site in ("config-file", "cge1-header", "lmch-header"))])
     def test_exit_code_and_prefix(self, capsys, tmp_path, argv, code, prefix):
         (tmp_path / "bad.csv").write_text(BAD_BASE)
         (tmp_path / "typed.json").write_text('{"rows": "32"}')
@@ -402,9 +425,15 @@ class TestLoaderErrors:
         (tmp_path / "nul-corpus.json").write_text('{"corpus_path": "a\\u0000b"}')
         (tmp_path / "nul-model.json").write_text(
             '{"estimator": "cge", "model_path": "a\\u0000b"}')
+        for fault, blob in DECODE_FAULTS.items():
+            (tmp_path / f"{fault}.json").write_bytes(blob)
+            for magic, suffix in ((b"CGE1", "cge"), (b"LMCH", "lmch")):
+                (tmp_path / f"{fault}.{suffix}").write_bytes(
+                    magic + struct.pack("<BI", 1, len(blob)) + blob)
         fileio.write_framed(tmp_path / "bad.lmch", b"LMCH", 1,
                             {"rows": -1, "cols": -8, "sigma_f": 0.0, "sigma_t": 0.0,
                              "count": 1, "seeds": [0]}, [bytes(64)])
         got, _, stderr = run_cli(capsys, *[a.format(tmp=tmp_path) for a in argv])
         assert got == code
         assert stderr.startswith(prefix.format(tmp=tmp_path)), stderr
+

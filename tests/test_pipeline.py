@@ -260,6 +260,14 @@ class TestRunPipeline:
         with pytest.raises(ConfigError, match=message):
             pipeline.run_pipeline(scenes[0], cfg, *profiles, **overrides)
 
+    def test_runs_the_first_listed_arm(self, profiles, scenes):
+        cfg = lossless_cfg(estimators=["ls", "none"])
+        assert cfg.arms() == ["ls", "none"]
+        rec = pipeline.run_pipeline(scenes[0], cfg, *profiles)
+        assert rec.estimator == "ls"
+        assert pipeline.run_pipeline(scenes[0], cfg, *profiles,
+                                     estimator="none").estimator == "none"
+
     def test_deterministic_records(self, profiles, scenes):
         sender, receiver = profiles
         cfg = lossless_cfg(snr_db=[5.0], estimator="ls")
@@ -439,6 +447,13 @@ class TestFailures:
         assert len(lines) == 3 * 4
         for line in lines:
             assert line.split(",")[4:] == ["nan", "nan", "1"]
+
+    def test_failures_counted_by_stage(self, multiframe_cfg):
+        cfg = dataclasses.replace(multiframe_cfg, lkb_enabled=False)
+        report = pipeline.sweep(cfg, ["\ud800 not encodable"])
+        assert report.failures == {
+            f"{pipeline._snr_key(snr)}/{est}/transmit": 1
+            for snr in cfg.snr_db for est in cfg.estimators}
 
     @pytest.mark.parametrize("owner, name, per_message, stage", [
         (pipeline, "scene_to_text", 1, "modal-transform"),

@@ -21,6 +21,7 @@ from lammsc.errors import ProtocolError, RemoteServiceError, TransportError
 from lammsc.mockserve import MockServer
 from lammsc.wire import PROTOCOL_VERSION, VERSION_HEADER, Endpoint, post_json
 
+from test_fileio import DECODE_FAULTS
 from test_mma import GARDEN_CAPTION, GARDEN_SCENE
 
 
@@ -54,6 +55,33 @@ class _CannedHandler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def canned_server():
     server = HTTPServer(("127.0.0.1", 0), _CannedHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+class _RawHandler(BaseHTTPRequestHandler):
+    """Answers every POST with a fixed status and raw body bytes (for replies
+    that are not JSON objects)."""
+
+    status, body = 200, b""
+
+    def log_message(self, *args):
+        pass
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.send_response(self.status)
+        self.send_header("Content-Length", str(len(self.body)))
+        self.end_headers()
+        self.wfile.write(self.body)
+
+
+@pytest.fixture()
+def raw_server():
+    server = HTTPServer(("127.0.0.1", 0), _RawHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
@@ -299,6 +327,58 @@ class TestEmbedContract:
         _CannedHandler.canned = {"vector": [1.0, 2.0]}
         with pytest.raises(ProtocolError, match="vector"):
             semeval.embed_remote("hello", canned_endpoint(canned_server))
+
+
+class TestReplyDecoding:
+    """A reply body is decoded once: a 200 that is not a JSON object is a
+    ProtocolError, any other status a RemoteServiceError with its detail."""
+
+    @pytest.mark.parametrize("fault", list(DECODE_FAULTS))
+    def test_bad_reply_is_protocol_error(self, raw_server, fault):
+        _RawHandler.status, _RawHandler.body = 200, DECODE_FAULTS[fault]
+        ep = canned_endpoint(raw_server)
+        with pytest.raises(ProtocolError, match="response: "):
+            post_json(ep, "/embed", {"text": "hello"})
+
+    @pytest.mark.parametrize("fault", list(DECODE_FAULTS))
+    def test_bad_reply_recorded_at_its_stage(self, raw_server, fault):
+        _RawHandler.status, _RawHandler.body = 200, DECODE_FAULTS[fault]
+        cfg = pipeline.PipelineConfig(  # lossless, so only scoring can fail
+            snr_db=[float("inf")], embed_backend="remote",
+            embed_endpoint=canned_endpoint(raw_server).base_url, retries=0)
+        rec = pipeline.run_pipeline(mma.canonical_scene(GARDEN_SCENE), cfg,
+                                    *pipeline.load_profiles(cfg))
+        assert rec.error_stage == "scoring"
+        assert "/embed: response: " in rec.error_message
+
+    @pytest.mark.parametrize("body, detail", [
+        (b'{"error": "busy", "message": "overloaded"}', "overloaded"),
+        (b'{"error": "busy"}', "busy"),
+        (b"{}", ""),
+        (b"[1]", "[1]"),
+        (b"<html>" + b"x" * 300, "<html>" + "x" * 194),
+        (b"[" * 10 ** 5, "[" * 200)],
+        ids=["message", "error", "empty-object", "not-an-object", "not-json",
+             "nested-too-deep"])
+    def test_error_status_is_remote_error(self, raw_server, body, detail):
+        _RawHandler.status, _RawHandler.body = 503, body
+        with pytest.raises(RemoteServiceError) as info:
+            post_json(canned_endpoint(raw_server), "/embed", {"text": "hello"})
+        assert str(info.value).endswith(f"/embed: status 503: {detail}")
+
+    @pytest.mark.parametrize("fault", list(DECODE_FAULTS))
+    @pytest.mark.parametrize("route", ["/transform", "/personalize", "/embed",
+                                       "scene-record"])
+    def test_bad_request_is_400(self, server, route, fault):
+        blob = DECODE_FAULTS[fault]
+        if route == "scene-record":  # the record inside a valid /transform body
+            route, blob = "/transform", json.dumps({
+                "source_modality": "image", "target_modality": "text",
+                "data": base64.b64encode(blob).decode("ascii")}).encode()
+        resp = requests.post(server.url + route, data=blob, timeout=5,
+                             headers={VERSION_HEADER: PROTOCOL_VERSION})
+        assert resp.status_code == 400
+        assert resp.json()["error"] == "request"
 
 
 class TestRemoteModeEquivalence:
