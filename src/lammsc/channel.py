@@ -185,26 +185,28 @@ def _axis_weights(n: int, knots: np.ndarray):
 def ls_estimate(y: np.ndarray, pattern: PilotPattern) -> np.ndarray:
     """Least-squares pilot estimates, bilinearly interpolated to the full grid.
 
-    Cells beyond the outermost pilot row/column take the nearest pilot value.
+    ``y`` is one grid or a (..., rows, cols) stack of them, each estimated on
+    its own. Cells beyond the outermost pilot row/column take the nearest
+    pilot value.
     """
     if pattern.pilot_rows.size == 0 or pattern.pilot_cols.size == 0:
         raise ValueError("pilot pattern is empty")
     y = np.asarray(y)
-    if y.shape[0] < pattern.rows or y.shape[1] < pattern.cols:
+    if y.ndim < 2 or y.shape[-2] < pattern.rows or y.shape[-1] < pattern.cols:
         raise ShapeError(f"grid {y.shape} does not cover pattern "
                          f"{pattern.rows}x{pattern.cols}")
-    at_pilots = (y[np.ix_(pattern.pilot_rows, pattern.pilot_cols)].astype(np.complex128)
-                 / pattern.symbols.astype(np.complex128))
+    at_pilots = (y[..., pattern.pilot_rows[:, None], pattern.pilot_cols]
+                 .astype(np.complex128) / pattern.symbols.astype(np.complex128))
     r0, wr = _axis_weights(pattern.rows, pattern.pilot_rows)
     c0, wc = _axis_weights(pattern.cols, pattern.pilot_cols)
-    r1 = np.minimum(r0 + 1, pattern.pilot_rows.size - 1)
+    r0, r1 = r0[:, None], np.minimum(r0 + 1, pattern.pilot_rows.size - 1)[:, None]
     c1 = np.minimum(c0 + 1, pattern.pilot_cols.size - 1)
     wr = wr[:, None]
     wc = wc[None, :]
-    est = ((1 - wr) * (1 - wc) * at_pilots[np.ix_(r0, c0)]
-           + (1 - wr) * wc * at_pilots[np.ix_(r0, c1)]
-           + wr * (1 - wc) * at_pilots[np.ix_(r1, c0)]
-           + wr * wc * at_pilots[np.ix_(r1, c1)])
+    est = ((1 - wr) * (1 - wc) * at_pilots[..., r0, c0]
+           + (1 - wr) * wc * at_pilots[..., r0, c1]
+           + wr * (1 - wc) * at_pilots[..., r1, c0]
+           + wr * wc * at_pilots[..., r1, c1])
     return est.astype(np.complex64)
 
 

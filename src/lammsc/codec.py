@@ -82,10 +82,13 @@ def _negative(symbols: np.ndarray):
     return ~(symbols.real >= 0.0), ~(symbols.imag >= 0.0)
 
 
-def demodulate(symbols: np.ndarray, repetition: int = 1) -> TokenStream:
+def demodulate(symbols: np.ndarray, repetition: int = 1):
     """Average repetition groups, hard-decide bit pairs, reassemble tokens.
 
-    The stream is truncated at the first decoded terminator. Decoded 10-bit
+    A 1-D (or 0-d) input is one stream and returns one TokenStream; a
+    (..., n) stack decodes each trailing row on its own and returns a list
+    of TokenStreams, in row-major order of the leading axes.
+    Each stream is truncated at its first decoded terminator. Decoded 10-bit
     values outside the token alphabet keep their low byte, so noise never
     silently changes the stream length. A trailing partial token is dropped
     (flagged); a missing terminator is appended (flagged). Any complex
@@ -94,25 +97,24 @@ def demodulate(symbols: np.ndarray, repetition: int = 1) -> TokenStream:
     """
     if repetition < 1:
         raise ValueError(f"repetition must be >= 1, got {repetition}")
-    symbols = np.asarray(symbols).ravel()
-    per_token = SYMBOLS_PER_TOKEN * repetition
-    usable = (symbols.size // per_token) * per_token
-    dropped = usable != symbols.size
-    symbols = symbols[:usable]
+    symbols = np.asarray(symbols)
+    shape = symbols.shape if symbols.ndim > 1 else (1, symbols.size)
+    n_rows, n_tokens = math.prod(shape[:-1]), shape[-1] // SYMBOLS_PER_TOKEN // repetition
+    usable = n_tokens * SYMBOLS_PER_TOKEN * repetition
+    dropped = usable != shape[-1]
+    rows = symbols.reshape(n_rows, shape[-1])[:, :usable]
     if repetition > 1:
-        symbols = symbols.reshape(-1, repetition).mean(axis=1)
-    bits = np.empty((symbols.size, 2), dtype=np.int64)
-    bits[:, 0], bits[:, 1] = _negative(symbols)
-    values = bits.reshape(-1, BITS_PER_TOKEN) @ _BIT_WEIGHTS
-    term = np.flatnonzero(values == TERMINATOR)
-    if term.size:
-        values = values[:term[0] + 1]
-        missing = False
-    else:
-        values = np.append(values, TERMINATOR)
-        missing = True
+        rows = rows.reshape(n_rows, usable // repetition, repetition).mean(axis=-1)
+    bits = np.empty(rows.shape + (2,), dtype=np.int64)
+    bits[..., 0], bits[..., 1] = _negative(rows)
+    # a terminator after the last token, kept only where none was decoded
+    values = np.full((n_rows, n_tokens + 1), TERMINATOR)
+    values[:, :-1] = bits.reshape(n_rows, n_tokens, BITS_PER_TOKEN) @ _BIT_WEIGHTS
+    ends = np.argmax(values == TERMINATOR, axis=1)
     tokens = np.where(values == TERMINATOR, TERMINATOR, values & 0xFF).astype(np.uint16)
-    return TokenStream(tokens, missing_terminator=missing, dropped_partial=dropped)
+    streams = [TokenStream(row[:end + 1], missing_terminator=bool(end == n_tokens),
+                           dropped_partial=dropped) for row, end in zip(tokens, ends)]
+    return streams if symbols.ndim > 1 else streams[0]
 
 
 @dataclass
@@ -124,11 +126,13 @@ class Frame:
     occupancy: int  # leading data cells that carry symbols; the rest is padding
 
     def extract(self, received: np.ndarray) -> np.ndarray:
-        """Pull this frame's occupied data symbols out of a same-shaped grid."""
-        if received.shape != self.grid.shape:
+        """Pull this frame's occupied data symbols out of a same-shaped grid,
+        or out of each grid of a (..., rows, cols) stack."""
+        if received.shape[-2:] != self.grid.shape:
             raise ShapeError(f"frame is {self.grid.shape}, received grid is "
                              f"{received.shape}")
-        return received.ravel()[self.data_cells[:self.occupancy]]
+        flat = received.reshape(*received.shape[:-2], -1)
+        return flat[..., self.data_cells[:self.occupancy]]
 
 
 def map_to_grid(symbols: np.ndarray, pattern: PilotPattern) -> list[Frame]:
@@ -149,21 +153,30 @@ def map_to_grid(symbols: np.ndarray, pattern: PilotPattern) -> list[Frame]:
     return frames
 
 
-def equalize(y: np.ndarray, h_est: np.ndarray, noise_var: float = 0.0,
+def equalize(y: np.ndarray, h_est: np.ndarray, noise_var: float | np.ndarray = 0.0,
              mode: str = "zf") -> np.ndarray:
-    """Divide out estimated gains: zero-forcing or MMSE weighting."""
+    """Divide out estimated gains: zero-forcing or MMSE weighting.
+
+    ``h_est`` may be a (..., rows, cols) stack; ``y`` and ``noise_var`` (a
+    float or an array) broadcast against it, so one received grid and noise
+    power per draw serve every estimate of that draw without a copy.
+    """
     y = np.asarray(y)
     h_est = np.asarray(h_est)
-    if y.shape != h_est.shape:
+    if y.ndim > h_est.ndim or any(
+            a not in (1, b) for a, b in zip(y.shape[::-1], h_est.shape[::-1])):
         raise ShapeError(f"equalize: received {y.shape} vs estimate {h_est.shape}")
-    if noise_var < 0:
+    if (np.asarray(noise_var) < 0).any():
         raise ValueError("noise_var must be non-negative")
     if mode not in ("zf", "mmse"):
         raise ValueError(f"unknown equalizer mode {mode!r}")
     h = h_est.astype(np.complex128)
-    reg = 1e-9 if mode == "zf" else max(noise_var, 1e-9)
-    out = y.astype(np.complex128) * np.conj(h) / (np.abs(h) ** 2 + reg)
-    return out.astype(np.complex64)
+    power = np.abs(h) ** 2 + (1e-9 if mode == "zf" else np.maximum(noise_var, 1e-9))
+    # in place, to keep a stack's peak memory low; y stays the left factor,
+    # because numpy's SIMD complex product can round differently when its
+    # operands swap
+    out = np.multiply(y.astype(np.complex128), np.conj(h, out=h), out=h)
+    return np.divide(out, power, out=out).astype(np.complex64)
 
 
 def hard_decide(symbols: np.ndarray) -> np.ndarray:
@@ -174,18 +187,18 @@ def hard_decide(symbols: np.ndarray) -> np.ndarray:
     return ((re + 1j * im) / _SQRT2).astype(np.complex64)
 
 
-def ser(sent: np.ndarray, decided: np.ndarray) -> float:
+def ser(sent: np.ndarray, decided: np.ndarray):
     """Fraction of QPSK decisions that differ from the sent constellation points.
 
     A symbol is in error when the sign of its real or imaginary part differs,
     with ``hard_decide``'s quadrants (zero counts as positive, NaN as negative).
+    ``decided`` is the symbols as one row (a float), or a (..., n) stack of
+    rows each scored against the same ``sent`` (an array over the leading axes).
     """
-    sent = np.asarray(sent).ravel()
-    decided = np.asarray(decided).ravel()
-    if sent.size != decided.size:
-        raise ShapeError(f"ser: {sent.size} sent vs {decided.size} decided symbols")
-    if sent.size == 0:
-        return 0.0
+    sent, decided = np.asarray(sent).ravel(), np.atleast_1d(decided)
+    if sent.size != decided.shape[-1]:
+        raise ShapeError(f"ser: {len(sent)} sent vs {decided.shape[-1]} decided symbols")
     (sent_re, sent_im), (got_re, got_im) = _negative(sent), _negative(decided)
     errors = (sent_re != got_re) | (sent_im != got_im)
-    return float(np.count_nonzero(errors)) / sent.size
+    rates = errors.sum(axis=-1) / max(sent.size, 1)
+    return float(rates) if decided.ndim == 1 else rates

@@ -234,9 +234,12 @@ def scene_to_json(p: ScenePayload) -> str:
 
 def scene_from_json(blob: bytes | str) -> ScenePayload:
     """Parse and canonicalize one scene record (UTF-8 bytes, or text). Every
-    fault, from bad UTF-8 or JSON to a field of the wrong type or an invalid
-    scene, raises ValueError."""
+    fault, from bad UTF-8 or JSON to an unknown key, a field of the wrong
+    type or an invalid scene, raises ValueError."""
     record = json_object(blob, "scene record")
+    unknown = sorted(set(record) - {"modality", "background", "pose", "entities"})
+    if unknown:
+        raise ValueError(f"unknown scene record keys: {unknown}")
     modality, background, pose, entities = (record.get(key, default) for key, default in (
         ("modality", "image"), ("background", ""), ("pose", ""), ("entities", [])))
     if not (all(isinstance(s, str) for s in (modality, background, pose))

@@ -6,15 +6,28 @@ demodulation -> receiver personalization -> payload, recording every
 intermediate. Both `run_pipeline` and `sweep` go through one per-message
 pass: the text stages (caption, extract, reference) and the framing run once
 per message; channel and noise are drawn once per (message, snr) and shared
-by every estimator arm; estimation onward runs per arm. The CGE arm's gains
-for all of a message's draws and frames come from one `cge.estimate` batch,
-and the reference text is embedded once per message. The first record that
-needs either pays for it in its timings; a call that fails is repeated by
-each record that needs it, so every such record keeps its own error at its
-own stage. Each record gets a copy of the shared stages' results, timings,
-flags and first error. `run_pipeline` is the pass with one draw and one arm.
-A sweep seeds each (message, snr) draw from the master seed, so the whole
-run is a pure function of (config, corpus, master seed).
+by every estimator arm. Each (draw, arm) record's gains are then estimated
+on their own; LS estimates every grid of a message in one `ls_estimate`
+call, and CGE in one `cge.estimate` batch. One stacked receive then takes
+every record with an estimate through equalization, data-cell extraction,
+symbol error rates, NMSE and decoding as a (draws, arms, frames, rows, cols)
+stack, with the truth and received grids entering once per draw and every
+sum running over one record's own grid. The receiver text stages run per
+record, and the reference text is embedded once per message.
+
+Timings and errors: each record's timings start as a copy of the shared
+stages' timings, flags and first error. The first record that needs the LS
+call, the CGE batch or the reference embedding pays for it; a call that
+fails is repeated by each record that needs it, so every such record keeps
+its own error at its own stage. An estimate that fails leaves that record
+out of the stacked receive. The stacked receive's wall time is split in
+equal shares over its records' ``timings["transmit"]``, and an error inside
+it is recorded at ``transmit`` on every one of them; an error outside
+(LamMscError, ValueError) is a bug and is re-raised with the note ``in
+pipeline stage 'transmit'`` (``sweep`` adds ``in sweep message i``).
+`run_pipeline` is the pass with one draw and one arm. A sweep seeds each
+(message, snr) draw from the master seed, so the whole run is a pure
+function of (config, corpus, master seed).
 """
 
 from __future__ import annotations
@@ -30,8 +43,7 @@ import numpy as np
 
 from . import cge, codec, semeval
 from .channel import (MAX_SIGMA, MIN_SNR_DB, NO_NOISE, PilotPattern, apply_channel,
-                      gen_channel, ls_estimate, make_pilot_pattern, nmse,
-                      noise_variance)
+                      gen_channel, ls_estimate, make_pilot_pattern, noise_variance)
 from .errors import ConfigError, LamMscError
 from .fileio import atomic_open, json_object
 from .lkb import (Profile, default_prompt_base, load_prompt_base,
@@ -184,8 +196,8 @@ class TransmissionRecord:
     recovered_payload: object = None
     cosine: float = 0.0
     correct: bool = False
-    # frame_ser, ser and nmse are set together once the gains are estimated;
-    # an empty frame_ser means the transmit stage failed before that
+    # frame_ser, ser and nmse are set together by the stacked receive; an
+    # empty frame_ser means the record's transmit stage failed
     frame_ser: list = field(default_factory=list)
     ser: float = 0.0
     nmse: float = 0.0
@@ -300,25 +312,28 @@ def load_profiles(cfg: PipelineConfig) -> tuple[Profile, Profile]:
 # ---------------------------------------------------------------------------
 # per-message pass: one message through every (snr, seed) draw and arm
 
-def _attempt(record: TransmissionRecord, stage: str, fn, fallback):
-    """Run one stage, timing it and capturing its error on the record.
+def _attempt(records: list, stage: str, fn, fallback):
+    """Run one stage for ``records``, timing it and capturing its error on each.
 
-    An error outside (LamMscError, ValueError) is a bug, not a channel
-    outcome: it gets a note naming the stage and is re-raised unchanged.
+    Each record is charged an equal share of the stage's wall time. An error
+    outside (LamMscError, ValueError) is a bug, not a channel outcome: it
+    gets a note naming the stage and is re-raised unchanged.
     """
     start = time.perf_counter()
     try:
         return fn()
     except (LamMscError, ValueError) as exc:
-        if record.error_stage is None:
-            record.error_stage, record.error_message = stage, str(exc)
+        for record in records:
+            if record.error_stage is None:
+                record.error_stage, record.error_message = stage, str(exc)
         return fallback
     except Exception as exc:
         exc.add_note(f"in pipeline stage {stage!r}")
         raise
     finally:
-        elapsed = time.perf_counter() - start
-        record.timings[stage] = record.timings.get(stage, 0.0) + elapsed
+        share = (time.perf_counter() - start) / len(records)
+        for record in records:
+            record.timings[stage] = record.timings.get(stage, 0.0) + share
 
 
 def _fork(record: TransmissionRecord, **changes) -> TransmissionRecord:
@@ -328,53 +343,56 @@ def _fork(record: TransmissionRecord, **changes) -> TransmissionRecord:
 
 
 def _draw_channel(cfg: PipelineConfig, frames, snr_db: float, seed: int):
-    """True gains and received grid of every frame for one (snr, seed) draw."""
+    """True gains and received grids, each a (frames, rows, cols) stack, for
+    one (snr, seed) draw."""
     gains = [np.ones((cfg.rows, cfg.cols), np.complex64) if cfg.ideal_channel
              else gen_channel(derive_seed(seed, "chan", i), cfg.rows, cfg.cols,
                               cfg.sigma_f, cfg.sigma_t).gains
              for i in range(len(frames))]
-    return gains, [apply_channel(frame.grid, h, snr_db, derive_seed(seed, "noise", i))
-                   for i, (frame, h) in enumerate(zip(frames, gains))]
+    return np.stack(gains), np.stack([
+        apply_channel(frame.grid, h, snr_db, derive_seed(seed, "noise", i))
+        for i, (frame, h) in enumerate(zip(frames, gains))])
 
 
-def _cge_batch(model, pattern, channels) -> list:
-    """CGE gains for every frame of every drawn channel from one
-    ``cge.estimate`` batch, split back per draw (None where the draw failed)."""
-    ys = [y for channel in channels if channel for y in channel[1]]
-    est = iter(cge.estimate(model, np.stack([cge.make_condition(y, pattern)
-                                             for y in ys])))
-    return [channel and [next(est) for _ in channel[1]] for channel in channels]
+def _cge_batch(model, pattern, ys) -> np.ndarray:
+    """CGE gains for every grid of a (..., rows, cols) stack, from one
+    ``cge.estimate`` batch."""
+    conditions = [cge.make_condition(y, pattern) for y in ys.reshape(-1, *ys.shape[-2:])]
+    return cge.estimate(model, np.stack(conditions)).reshape(ys.shape)
 
 
-def _estimate_gains(estimator: str, ys, gains, pattern, cge_gains):
-    if estimator == "perfect":
-        return gains
-    if estimator == "ls":
-        return [ls_estimate(y, pattern) for y in ys]
-    if estimator == "cge":
-        return cge_gains()
-    return [np.ones_like(h) for h in gains]
+def _receive(cfg: PipelineConfig, frames, stack, snrs, truth, ys, estimates) -> None:
+    """The stacked pass: equalize, extract, score and decode every (draw, arm)
+    record of ``stack`` at once, and store the results on the records.
 
-
-def _receive(rec: TransmissionRecord, cfg: PipelineConfig, frames, channel,
-             pattern, cge_gains) -> str:
-    """Estimate, equalize and demodulate one arm's frames; returns the text."""
-    gains, ys = channel
-    h_ests = _estimate_gains(rec.estimator, ys, gains, pattern, cge_gains)
-    noise_var = noise_variance(rec.snr_db)
-    received, nmses, frame_ser = [], [], []
-    for frame, h, y, h_est in zip(frames, gains, ys, h_ests):
-        nmses.append(nmse(h_est, h))
-        got = frame.extract(codec.equalize(y, h_est, noise_var, cfg.equalizer))
-        received.append(got)
-        frame_ser.append(codec.ser(frame.extract(frame.grid), got))
-    rec.frame_ser, rec.nmse = frame_ser, float(np.mean(nmses))
-    rec.ser = (sum(s * frame.occupancy for s, frame in zip(frame_ser, frames))
-               / sum(frame.occupancy for frame in frames))
-    stream_rx = codec.demodulate(np.concatenate(received), cfg.repetition)
-    if stream_rx.missing_terminator:
-        rec.flags.append("missing-terminator")
-    return codec.detokenize(stream_rx)
+    ``truth`` and ``ys`` are (draws, frames, rows, cols) stacks; ``stack``
+    and ``estimates`` list the records and their gains draw-major, None where
+    the estimate failed (its slot is zero and its results are dropped). The
+    truth and received grids enter once per draw, and every sum runs over one
+    record's own (rows, cols) block.
+    """
+    h_est = np.stack([np.zeros_like(truth[0]) if est is None else est
+                      for est in estimates]).reshape(len(ys), -1, *truth.shape[1:])
+    noise_var = np.array([noise_variance(snr) for snr in snrs]).reshape(-1, 1, 1, 1, 1)
+    # nmse first, as channel.nmse per grid, so that its complex128
+    # temporaries are freed before equalize makes its own
+    truth = truth.astype(np.complex128)[:, None]
+    err = np.sum(np.abs(h_est.astype(np.complex128) - truth) ** 2, axis=(-2, -1))
+    nmses = np.mean(err / np.sum(np.abs(truth) ** 2, axis=(-2, -1)), axis=-1)
+    eq = codec.equalize(ys[:, None], h_est, noise_var, cfg.equalizer)
+    got = [frame.extract(eq[:, :, i]) for i, frame in enumerate(frames)]
+    frame_ser = np.stack([codec.ser(frame.extract(frame.grid), g)
+                          for frame, g in zip(frames, got)], axis=-1)
+    streams = codec.demodulate(np.concatenate(got, axis=-1), cfg.repetition)
+    occupancy = [frame.occupancy for frame in frames]
+    for rec, sers, score, stream in zip(stack, frame_ser.reshape(len(stack), -1).tolist(),
+                                        nmses.ravel().tolist(), streams):
+        if rec:
+            rec.frame_ser, rec.nmse = sers, score
+            rec.ser = sum(s * n for s, n in zip(sers, occupancy)) / sum(occupancy)
+            if stream.missing_terminator:
+                rec.flags.append("missing-terminator")
+            rec.received_text = codec.detokenize(stream)
 
 
 def _run_message(payload, cfg: PipelineConfig, stages, pattern, model, draws,
@@ -382,47 +400,55 @@ def _run_message(payload, cfg: PipelineConfig, stages, pattern, model, draws,
     """One message through every (snr_db, seed) draw and estimator arm.
 
     Caption, extract, reference and framing run once per message; channel and
-    noise once per draw, shared by the arms; one CGE batch covers every draw;
-    the reference is embedded once; estimation onward runs once per arm.
-    Each record is forked from the shared ones, so it carries their results,
-    timings, flags and first error.
+    noise once per draw, shared by the arms. Each record's gains are
+    estimated on their own, from one LS call and one CGE batch over every
+    draw; then one stacked pass receives every record with an estimate; the
+    reference is embedded once. Each record is forked from the shared ones,
+    so it carries their results, timings, flags and first error.
     """
     caption, to_payload, extract, recover, embed = stages
     base = TransmissionRecord(input_payload=payload)
-    base.caption = _attempt(base, "modal-transform", lambda: (
+    base.caption = _attempt([base], "modal-transform", lambda: (
         payload if isinstance(payload, str) else caption(payload)), "")
-    base.semantics = _attempt(base, "personalize-extract",
+    base.semantics = _attempt([base], "personalize-extract",
                               lambda: extract(base.caption), "")
     if not base.semantics:
         base.flags.append("empty-semantics")
-    base.reference_text = _attempt(base, "reference",
+    base.reference_text = _attempt([base], "reference",
                                    lambda: recover(base.semantics), base.semantics)
-    frames = _attempt(base, "transmit", lambda: codec.map_to_grid(codec.modulate(
+    frames = _attempt([base], "transmit", lambda: codec.map_to_grid(codec.modulate(
         codec.tokenize(base.semantics), cfg.repetition), pattern), None)
     modality = payload.modality if isinstance(payload, ScenePayload) else "image"
     drawn = [_fork(base, snr_db=snr_db, seed=seed) for snr_db, seed in draws]
     channels = [frames and _attempt(  # None once framing or the draw failed
-        draw, "transmit", partial(_draw_channel, cfg, frames, draw.snr_db, draw.seed),
-        None) for draw in drawn]
-    # computed by the first record that needs them; a failed call is not cached,
-    # so each later record retries it and records its own error
-    cge_batch = cache(lambda: _cge_batch(model, pattern, channels))
+        [draw], "transmit", partial(_draw_channel, cfg, frames, draw.snr_db,
+                                    draw.seed), None) for draw in drawn]
+    records = [_fork(draw, estimator=estimator) for draw in drawn for estimator in arms]
+    reached = [k for k, channel in enumerate(channels) if channel]
+    if reached:
+        truth, ys = (np.stack(grids) for grids in zip(*(channels[k] for k in reached)))
+        # computed by the first record that needs them; a failed call is not
+        # cached, so each later record retries it and records its own error
+        gains = {"perfect": lambda: truth, "none": lambda: np.ones_like(truth),
+                 "ls": cache(partial(ls_estimate, ys, pattern)),
+                 "cge": cache(partial(_cge_batch, model, pattern, ys))}
+        stack = [records[k * len(arms) + a] for k in reached for a in range(len(arms))]
+        estimates = [_attempt([rec], "transmit", lambda: gains[rec.estimator]()[
+            i // len(arms)], None) for i, rec in enumerate(stack)]
+        stack = [None if est is None else rec for rec, est in zip(stack, estimates)]
+        if any(stack):
+            _attempt([rec for rec in stack if rec], "transmit", partial(
+                _receive, cfg, frames, stack, [drawn[k].snr_db for k in reached],
+                truth, ys, estimates), None)
     reference = cache(lambda: embed(base.reference_text))
-    records = []
-    for k, (draw, channel) in enumerate(zip(drawn, channels)):
-        for estimator in arms:
-            rec = _fork(draw, estimator=estimator)
-            if channel:
-                rec.received_text = _attempt(rec, "transmit", lambda: _receive(
-                    rec, cfg, frames, channel, pattern, lambda: cge_batch()[k]), "")
-            rec.recovered_text = _attempt(rec, "personalize-recover", lambda: recover(
-                rec.received_text), rec.received_text)
-            rec.recovered_payload = _attempt(rec, "modal-recovery", lambda: to_payload(
-                rec.recovered_text, modality), None)
-            rec.cosine = _attempt(rec, "scoring", lambda: semeval.cosine(
-                reference(), embed(rec.recovered_text)), 0.0)
-            rec.correct = rec.cosine > cfg.threshold
-            records.append(rec)
+    for rec in records:
+        rec.recovered_text = _attempt([rec], "personalize-recover", lambda: recover(
+            rec.received_text), rec.received_text)
+        rec.recovered_payload = _attempt([rec], "modal-recovery", lambda: to_payload(
+            rec.recovered_text, modality), None)
+        rec.cosine = _attempt([rec], "scoring", lambda: semeval.cosine(
+            reference(), embed(rec.recovered_text)), 0.0)
+        rec.correct = rec.cosine > cfg.threshold
     return records
 
 
@@ -453,10 +479,10 @@ def sweep(cfg: PipelineConfig, messages) -> SweepReport:
     Each message makes one per-message pass over all SNRs and arms; only
     (cosine, nmse, ser, error stage) of each record is kept, in the cell of
     the record's (snr_db, estimator), and rows come in sorted order. A record
-    whose transmit failed before any channel estimate (empty ``frame_ser``)
-    counts in accuracy, mean_cosine and n but not in mean_nmse or mean_ser; a
-    cell with no estimate at all reports them as nan. ``failures`` counts the
-    failed records of each cell by the stage of their first error.
+    whose transmit failed (empty ``frame_ser``) counts in accuracy,
+    mean_cosine and n but not in mean_nmse or mean_ser; a cell with no
+    estimate at all reports them as nan. ``failures`` counts the failed
+    records of each cell by the stage of their first error.
     """
     messages = list(messages)
     if not messages:

@@ -1,8 +1,14 @@
 """Shared numeric test utilities."""
 
+import dataclasses
+
 import numpy as np
 
-from lammsc.channel import ChannelRealization, _gauss_taps
+from lammsc import cge, codec, pipeline, semeval
+from lammsc.channel import (ChannelRealization, _gauss_taps, ls_estimate, nmse,
+                            noise_variance)
+from lammsc.errors import LamMscError
+from lammsc.mma import ScenePayload
 
 
 def fnv1a64(data: bytes) -> int:
@@ -186,3 +192,114 @@ def check_grad(loss_fn, grad: np.ndarray, arr: np.ndarray, rng: np.random.Genera
     assert checked > 0, "no kink-free coordinate found to verify"
     assert worst < tol, f"gradient mismatch: worst relative error {worst:.4g}"
     return worst
+
+
+def reference_equalize(y: np.ndarray, h_est: np.ndarray, noise_var: float,
+                       mode: str) -> np.ndarray:
+    """codec.equalize on one grid, as one expression (reference oracle)."""
+    h = h_est.astype(np.complex128)
+    reg = 1e-9 if mode == "zf" else max(noise_var, 1e-9)
+    out = y.astype(np.complex128) * np.conj(h) / (np.abs(h) ** 2 + reg)
+    return out.astype(np.complex64)
+
+
+def reference_demodulate(symbols: np.ndarray, repetition: int) -> codec.TokenStream:
+    """codec.demodulate on one stream, searching for its terminator after
+    decoding (reference oracle)."""
+    symbols = np.asarray(symbols).ravel()
+    per_token = codec.SYMBOLS_PER_TOKEN * repetition
+    usable = (symbols.size // per_token) * per_token
+    dropped = usable != symbols.size
+    symbols = symbols[:usable]
+    if repetition > 1:
+        symbols = symbols.reshape(-1, repetition).mean(axis=1)
+    bits = np.empty((symbols.size, 2), dtype=np.int64)
+    bits[:, 0], bits[:, 1] = ~(symbols.real >= 0.0), ~(symbols.imag >= 0.0)
+    values = bits.reshape(-1, codec.BITS_PER_TOKEN) @ (
+        1 << np.arange(codec.BITS_PER_TOKEN - 1, -1, -1, dtype=np.int64))
+    term = np.flatnonzero(values == codec.TERMINATOR)
+    missing = term.size == 0
+    values = np.append(values, codec.TERMINATOR) if missing else values[:term[0] + 1]
+    tokens = np.where(values == codec.TERMINATOR, codec.TERMINATOR, values & 0xFF)
+    return codec.TokenStream(tokens.astype(np.uint16), missing_terminator=missing,
+                             dropped_partial=dropped)
+
+
+def reference_receive(rec, cfg, frames, channel, pattern, cge_gains) -> str:
+    """Estimate, equalize and demodulate one record's frames, one grid at a
+    time; sets frame_ser, nmse, ser and flags and returns the text (reference
+    oracle for the stacked pass)."""
+    gains, ys = channel
+    if rec.estimator == "perfect":
+        h_ests = gains
+    elif rec.estimator == "ls":
+        h_ests = [ls_estimate(y, pattern) for y in ys]
+    elif rec.estimator == "cge":
+        h_ests = cge_gains()
+    else:
+        h_ests = [np.ones_like(h) for h in gains]
+    noise_var = noise_variance(rec.snr_db)
+    received, nmses, frame_ser = [], [], []
+    for frame, h, y, h_est in zip(frames, gains, ys, h_ests):
+        nmses.append(nmse(h_est, h))
+        got = frame.extract(reference_equalize(y, h_est, noise_var, cfg.equalizer))
+        received.append(got)
+        frame_ser.append(codec.ser(frame.extract(frame.grid), got))
+    rec.frame_ser, rec.nmse = frame_ser, float(np.mean(nmses))
+    rec.ser = (sum(s * frame.occupancy for s, frame in zip(frame_ser, frames))
+               / sum(frame.occupancy for frame in frames))
+    stream_rx = reference_demodulate(np.concatenate(received), cfg.repetition)
+    if stream_rx.missing_terminator:
+        rec.flags.append("missing-terminator")
+    return codec.detokenize(stream_rx)
+
+
+def _reference_attempt(record, stage: str, fn, fallback):
+    try:
+        return fn()
+    except (LamMscError, ValueError) as exc:
+        if record.error_stage is None:
+            record.error_stage, record.error_message = stage, str(exc)
+        return fallback
+
+
+def reference_run_message(payload, cfg, stages, pattern, model, draws, arms) -> list:
+    """A message's records, each (draw, arm) record received on its own by
+    reference_receive, with one CGE batch per draw; timings are not kept
+    (reference oracle for pipeline._run_message)."""
+    caption, to_payload, extract, recover, embed = stages
+    attempt = _reference_attempt
+    base = pipeline.TransmissionRecord(input_payload=payload)
+    base.caption = attempt(base, "modal-transform", lambda: (
+        payload if isinstance(payload, str) else caption(payload)), "")
+    base.semantics = attempt(base, "personalize-extract",
+                             lambda: extract(base.caption), "")
+    if not base.semantics:
+        base.flags.append("empty-semantics")
+    base.reference_text = attempt(base, "reference", lambda: recover(base.semantics),
+                                  base.semantics)
+    frames = attempt(base, "transmit", lambda: codec.map_to_grid(codec.modulate(
+        codec.tokenize(base.semantics), cfg.repetition), pattern), None)
+    modality = payload.modality if isinstance(payload, ScenePayload) else "image"
+    records = []
+    for snr_db, seed in draws:
+        draw = dataclasses.replace(base, snr_db=snr_db, seed=seed,
+                                   flags=list(base.flags))
+        channel = frames and attempt(draw, "transmit", lambda: pipeline._draw_channel(
+            cfg, frames, snr_db, seed), None)
+        for estimator in arms:
+            rec = dataclasses.replace(draw, estimator=estimator, flags=list(draw.flags))
+            if channel:
+                rec.received_text = attempt(rec, "transmit", lambda: reference_receive(
+                    rec, cfg, frames, channel, pattern, lambda: cge.estimate(
+                        model, np.stack([cge.make_condition(y, pattern)
+                                         for y in channel[1]]))), "")
+            rec.recovered_text = attempt(rec, "personalize-recover", lambda: recover(
+                rec.received_text), rec.received_text)
+            rec.recovered_payload = attempt(rec, "modal-recovery", lambda: to_payload(
+                rec.recovered_text, modality), None)
+            rec.cosine = attempt(rec, "scoring", lambda: semeval.cosine(
+                embed(base.reference_text), embed(rec.recovered_text)), 0.0)
+            rec.correct = rec.cosine > cfg.threshold
+            records.append(rec)
+    return records

@@ -4,8 +4,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lammsc import channel, cge, cli, corpus, fileio, pipeline
+from lammsc.errors import LamMscError
 
 from test_fileio import DECODE_FAULTS
 
@@ -303,6 +306,67 @@ class TestSetupErrors:
         assert list(tmp_path.iterdir()) == []
 
 
+def setup_argvs(model16: str, channels16: str, out: str):
+    """A gen-channels, train-cge or eval-cge command line with up to 6 of its
+    set-up flags, each ``--flag=value`` with a value its parser accepts; a
+    drawn flag overrides a required one (eval-cge starts on the model's grid).
+
+    Extents, counts and spacings come from small ranges: a valid 10^6 x 10^6
+    grid would allocate its pilot lattice before any check could reject it,
+    so the bound is on memory, not a claim about larger values."""
+    small = st.integers(-2, 40).map(str)
+    real = (st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e400", "2"])
+            | st.floats(-1.0, 20.0).map(repr))
+    grid = {"--rows": st.sampled_from(["16", "32"]) | small,
+            "--cols": st.sampled_from(["16", "32"]) | small,
+            "--sigma-f": real, "--sigma-t": real}
+    config = {**grid, "--snr-db": st.lists(real, max_size=3).map(",".join),
+              "--pilot-df": small, "--pilot-dt": small, "--repetition": small,
+              "--estimator": st.sampled_from(pipeline.ESTIMATORS + ("x",))}
+    commands = {
+        "gen-channels": ({"--out": st.just(f"{out}/c.lmch")},
+                         {**grid, "--count": small, "--seed": st.integers().map(str)}),
+        "train-cge": ({"--out": st.just(f"{out}/m.cge")},
+                      {**config, "--pairs": st.integers(-1, 300).map(str),
+                       "--epochs": small, "--batch": st.integers(-1, 80).map(str),
+                       "--channels": st.sampled_from([channels16, f"{out}/no.lmch"])}),
+        "eval-cge": ({"--model": st.sampled_from([model16, f"{out}/no.cge"]),
+                      "--rows": st.just("16"), "--cols": st.just("16")},
+                     {**config, "--count": small}),
+    }
+
+    def argv(command):
+        required, flags = commands[command]
+        return st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=6).flatmap(
+            lambda keys: st.fixed_dictionaries(
+                required | {key: flags[key] for key in keys})).map(
+            lambda chosen: [command, *(f"{k}={v}" for k, v in chosen.items())])
+    return st.sampled_from(sorted(commands)).flatmap(argv)
+
+
+class TestSetupSpace:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    def test_every_setup_ends_typed(self, data, capsys, tmp_path, monkeypatch,
+                                    tiny_model_path, channels16_path):
+        """Any drawn set-up of the three dataset and model commands exits 0,
+        or with 'config error:' or 'error:', never 'unexpected error'; the
+        work functions are patched to fail with a typed error once reached."""
+        def heavy(*args, **kwargs):
+            raise LamMscError("work reached")
+
+        for owner, name in ((cge, "make_training_set"), (cge, "pairs_from_realizations"),
+                            (cge, "train_cgan"), (channel, "gen_channel")):
+            monkeypatch.setattr(owner, name, heavy)
+        argv = data.draw(setup_argvs(tiny_model_path, channels16_path, str(tmp_path)))
+        code, _, stderr = run_cli(capsys, *argv)
+        assert ((code, stderr) == (0, "") or (code, stderr[:14]) == (1, "config error: ")
+                or (code, stderr[:7]) == (2, "error: ")), (argv, stderr)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestUnwritableOut:
     """Every writer fails as 'error: cannot write' and leaves no file."""
 
@@ -408,13 +472,16 @@ class TestLoaderErrors:
         (["run", "--scene", '{{"background": null}}'], 1, "config error: --scene: "),
         (["run", "--scene", '{{"entities": ["ab"]}}'], 1, "config error: --scene: "),
         (["run", "--scene", "[" * 10 ** 5], 1, "config error: --scene: "),
+        (["run", "--scene", '{{"backgroud": "a garden", "entities": [["a boy", []]]}}',
+          "--snr-db", "inf"], 1, "config error: --scene: unknown scene record keys"),
         (["run", "--text", "hi", "--config", "{tmp}/deep.json"], 1,
          "config error: {tmp}/deep.json: invalid JSON"),
     ] + _DECODE_CASES, ids=["bad-age", "missing-prompt-base", "wrong-json-type",
             "missing-model-path", "missing-eval-model", "lmch-negative-extents",
             "nul-corpus-path", "nul-model-path", "scene-not-json",
             "scene-not-an-object", "scene-unknown-modality", "scene-null-background",
-            "scene-string-entity", "scene-nested-too-deep", "config-nested-too-deep",
+            "scene-string-entity", "scene-nested-too-deep", "scene-unknown-key",
+            "config-nested-too-deep",
             *(f"{site}-{fault}" for fault in DECODE_FAULTS
               for site in ("config-file", "cge1-header", "lmch-header"))])
     def test_exit_code_and_prefix(self, capsys, tmp_path, argv, code, prefix):

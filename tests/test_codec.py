@@ -168,20 +168,30 @@ class TestDemodulate:
     @settings(max_examples=200, deadline=None)
     def test_arbitrary_symbols_decode_or_reject_repetition(self, symbols,
                                                            repetition):
-        """Any complex array, NaN and inf included, decodes to a well-formed
-        stream; only a repetition below 1 raises, as a ValueError."""
+        """Any complex array, NaN and inf included, decodes to well-formed
+        streams, one per trailing row of a stack, each as that row alone
+        decodes; only a repetition below 1 raises, as a ValueError."""
         if repetition < 1:
             with pytest.raises(ValueError, match="repetition"):
                 codec.demodulate(symbols, repetition)
             return
         with np.errstate(invalid="ignore"):  # inf - inf in a repetition mean
             back = codec.demodulate(symbols, repetition)
+            if symbols.ndim > 1:
+                rows = symbols.reshape(math.prod(symbols.shape[:-1]), symbols.shape[-1])
+                alone = [codec.demodulate(row, repetition) for row in rows]
+                assert [(s.tokens.tolist(), s.missing_terminator, s.dropped_partial)
+                        for s in back] == [(s.tokens.tolist(), s.missing_terminator,
+                                            s.dropped_partial) for s in alone]
+            else:
+                rows, back = [symbols.ravel()], [back]
         per_token = codec.SYMBOLS_PER_TOKEN * repetition
-        assert back.tokens[-1] == codec.TERMINATOR
-        assert np.count_nonzero(back.tokens == codec.TERMINATOR) == 1
-        assert back.tokens.size <= symbols.size // per_token + 1
-        assert back.dropped_partial == (symbols.size % per_token != 0)
-        assert isinstance(codec.detokenize(back), str)
+        for row, stream in zip(rows, back, strict=True):
+            assert stream.tokens[-1] == codec.TERMINATOR
+            assert np.count_nonzero(stream.tokens == codec.TERMINATOR) == 1
+            assert stream.tokens.size <= row.size // per_token + 1
+            assert stream.dropped_partial == (row.size % per_token != 0)
+            assert isinstance(codec.detokenize(stream), str)
 
     @given(hnp.arrays(st.sampled_from([np.complex64, np.complex128]),
                       st.integers(min_value=0, max_value=40),

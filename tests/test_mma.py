@@ -162,11 +162,12 @@ class TestSceneJson:
         '{"entities": [["a boy", "golden hair"]]}', '{"entities": [[1, []]]}',
         '{"entities": [["a boy", [null]]]}', '{"entities": {"a boy": []}}',
         '{"modality": "smell"}', '[1]', 'not json', "[" * 10 ** 5,
-        b'{"pose": "\xff"}'],
+        b'{"pose": "\xff"}', '{"backgroud": "a garden", "entities": [["a boy", []]]}'],
         ids=["null-background", "int-pose", "list-modality", "string-entity",
              "short-entity", "string-attributes", "int-descriptor",
              "null-attribute", "object-entities", "unknown-modality",
-             "not-an-object", "not-json", "nested-too-deep", "bad-utf8"])
+             "not-an-object", "not-json", "nested-too-deep", "bad-utf8",
+             "unknown-key"])
     def test_malformed_record_rejected(self, blob):
         with pytest.raises(ValueError):
             mma.scene_from_json(blob)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import warnings
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 from lammsc import cge, codec, corpus, pipeline, semeval
 from lammsc.channel import MAX_SIGMA, NO_NOISE
 from lammsc.errors import ConfigError, CorpusError, LamMscError
+
+from helpers import reference_run_message
 
 
 def lossless_cfg(**overrides):
@@ -408,13 +411,99 @@ class TestPerMessagePass:
                   for snr, seed in draws for est in cfg.estimators]
         assert len(paired) == len(single) == 3 * 4
 
-        def fields(rec):
-            out = dataclasses.asdict(rec)
-            out["timings"] = list(out["timings"])
-            return out
-        assert [fields(r) for r in paired] == [fields(r) for r in single]
+        assert ([without_timings(r) for r in paired]
+                == [without_timings(r) for r in single])
         if text is not None:  # a shared-stage error reaches every arm
             assert {r.error_stage for r in paired} == {"transmit"}
+
+
+def without_timings(rec):
+    out = dataclasses.asdict(rec)
+    out["timings"] = list(out["timings"])
+    return out
+
+
+@pytest.fixture(scope="module")
+def model16_path(multiframe_cfg):
+    return multiframe_cfg.model_path
+
+
+class TestStackedPass:
+    """One stacked pass per message gives every record exactly what the
+    per-record receive gave it."""
+
+    @given(repetition=st.integers(1, 3), equalizer=st.sampled_from(["zf", "mmse"]),
+           ideal=st.booleans(), lkb=st.booleans(),
+           snrs=st.lists(st.sampled_from([NO_NOISE, -3.0, 0.0, 10.0, 30.0])
+                         | st.floats(-10.0, 40.0), min_size=1, max_size=3),
+           payload=st.integers(0, 11) | st.sampled_from(
+               ["", "short", "\ud800 not encodable", "long text " * 40]),
+           seed=st.integers(0, 2 ** 32))
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_per_record_reference(self, profiles, scenes, model16_path,
+                                          repetition, equalizer, ideal, lkb, snrs,
+                                          payload, seed):
+        cfg = pipeline.PipelineConfig(
+            rows=16, cols=16, repetition=repetition, equalizer=equalizer,
+            ideal_channel=ideal, lkb_enabled=lkb, snr_db=snrs,
+            estimators=list(pipeline.ESTIMATORS), model_path=model16_path).validate()
+        payload = scenes[payload] if isinstance(payload, int) else payload
+        draws = [(snr, pipeline.derive_seed(seed, i)) for i, snr in enumerate(snrs)]
+        args = (payload, cfg, pipeline._bind_stages(cfg, *profiles), cfg.pilot_pattern(),
+                cge.load_model(cfg.model_path), draws, cfg.estimators)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            stacked = pipeline._run_message(*args)
+            reference = reference_run_message(*args)
+        fields = ("received_text", "frame_ser", "nmse", "ser", "flags", "error_stage",
+                  "error_message", "recovered_text", "cosine")
+        assert ([[getattr(r, f) for f in fields] for r in stacked]
+                == [[getattr(r, f) for f in fields] for r in reference])
+
+    def test_failed_cge_batch_lands_on_cge_records_only(
+            self, monkeypatch, profiles, scenes, multiframe_cfg):
+        cfg = multiframe_cfg
+        draws = [(snr, pipeline.derive_seed(9, snr)) for snr in cfg.snr_db]
+
+        def run():
+            return pipeline._run_message(
+                scenes[2], cfg, pipeline._bind_stages(cfg, *profiles),
+                cfg.pilot_pattern(), cge.load_model(cfg.model_path), draws,
+                cfg.estimators)
+
+        clean = run()
+
+        def down(model, condition):
+            raise LamMscError("cge down")
+
+        monkeypatch.setattr(cge, "estimate", down)
+        failed = run()
+        assert len(failed) == len(clean) == 3 * 4
+        for rec, ok in zip(failed, clean):
+            if rec.estimator == "cge":
+                assert (rec.error_stage, rec.error_message) == ("transmit", "cge down")
+                assert not rec.frame_ser and rec.received_text == ""
+            else:
+                assert without_timings(rec) == without_timings(ok)
+
+    def test_stacked_pass_time_is_shared(self, monkeypatch, profiles, scenes,
+                                         multiframe_cfg):
+        """Each record keeps its draw's transmit time and its own estimate's,
+        plus an equal share of the stacked pass: one tick of a clock that
+        ticks once per reading, over the 12 records."""
+        clock = itertools.count()
+        monkeypatch.setattr(pipeline.time, "perf_counter", lambda: float(next(clock)))
+        cfg = multiframe_cfg
+        records = pipeline._run_message(
+            scenes[3], cfg, pipeline._bind_stages(cfg, *profiles), cfg.pilot_pattern(),
+            cge.load_model(cfg.model_path),
+            [(snr, pipeline.derive_seed(4, snr)) for snr in cfg.snr_db], cfg.estimators)
+        assert len(records) == 12
+        for rec in records:
+            # framing, the draw and the estimate, one tick each, then the share
+            assert rec.timings["transmit"] == 3.0 + 1.0 / 12
+            assert rec.timings["scoring"] == 1.0
 
 
 class TestFailures:
@@ -458,8 +547,9 @@ class TestFailures:
     @pytest.mark.parametrize("owner, name, per_message, stage", [
         (pipeline, "scene_to_text", 1, "modal-transform"),
         (cge, "estimate", 1, "transmit"),
-        (semeval, "embed", 1 + 3 * 4, "scoring")],
-        ids=["caption", "cge-batch", "reference-embed"])
+        (semeval, "embed", 1 + 3 * 4, "scoring"),
+        (codec, "demodulate", 1, "transmit")],
+        ids=["caption", "cge-batch", "reference-embed", "stacked-pass"])
     def test_stage_bug_raised_with_notes(self, monkeypatch, scenes, multiframe_cfg,
                                          owner, name, per_message, stage):
         original, calls = getattr(owner, name), Counter()
@@ -575,6 +665,15 @@ class TestCorpus:
         corpus.save_corpus(path, good)
         path.write_text(path.read_text() + "this is not json\n")
         with pytest.raises(CorpusError, match=":2"):
+            corpus.load_corpus(path)
+
+    def test_unknown_key_names_the_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        corpus.save_corpus(path, corpus.synthetic_corpus(1, seed=9))
+        path.write_text(path.read_text()
+                        + '{"backgroud": "a garden", "entities": [["a boy", []]]}\n')
+        with pytest.raises(CorpusError,
+                           match=r":2: unknown scene record keys: \['backgroud'\]"):
             corpus.load_corpus(path)
 
     def test_non_utf8_file_rejected(self, tmp_path):

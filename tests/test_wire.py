@@ -380,6 +380,15 @@ class TestReplyDecoding:
         assert resp.status_code == 400
         assert resp.json()["error"] == "request"
 
+    def test_scene_record_with_unknown_key_is_400(self, server):
+        record = b'{"backgroud": "a garden", "entities": [["a boy", []]]}'
+        resp = requests.post(server.url + "/transform", timeout=5, json={
+            "source_modality": "image", "target_modality": "text",
+            "data": base64.b64encode(record).decode("ascii")},
+            headers={VERSION_HEADER: PROTOCOL_VERSION})
+        assert resp.status_code == 400
+        assert "unknown scene record keys: ['backgroud']" in resp.json()["message"]
+
 
 class TestRemoteModeEquivalence:
     def fingerprint(self, rec):
