@@ -210,17 +210,25 @@ def ls_estimate(y: np.ndarray, pattern: PilotPattern) -> np.ndarray:
     return est.astype(np.complex64)
 
 
-def nmse(est: np.ndarray, truth: np.ndarray) -> float:
-    """Normalized mean squared error sum|est-truth|^2 / sum|truth|^2."""
+def nmse(est: np.ndarray, truth: np.ndarray):
+    """Normalized mean squared error sum|est-truth|^2 / sum|truth|^2 of each grid.
+
+    ``est`` is one grid (a float) or a (..., rows, cols) stack (an array over
+    the leading axes); ``truth`` broadcasts against it, so each of its grids'
+    denominators is summed once however many estimates share it.
+    """
     est = np.asarray(est)
-    truth = np.asarray(truth)
-    if est.shape != truth.shape:
+    truth = np.asarray(truth).astype(np.complex128)
+    if (est.ndim < 2 or truth.ndim > est.ndim or truth.shape[-2:] != est.shape[-2:]
+            or any(a not in (1, b) for a, b in zip(truth.shape[::-1], est.shape[::-1]))):
         raise ShapeError(f"nmse: shapes {est.shape} and {truth.shape} differ")
-    denom = float(np.sum(np.abs(truth.astype(np.complex128)) ** 2))
-    if denom == 0.0:
+    denom = np.sum(np.abs(truth) ** 2, axis=(-2, -1))
+    if (denom == 0.0).any():
         raise ValueError("nmse undefined for all-zero truth")
-    num = float(np.sum(np.abs(est.astype(np.complex128) - truth.astype(np.complex128)) ** 2))
-    return num / denom
+    # est widens to complex128 inside the subtraction, one buffer at a time
+    diff = np.abs(np.subtract(est, truth))
+    ratio = np.sum(np.square(diff, out=diff), axis=(-2, -1)) / denom
+    return float(ratio) if est.ndim == 2 else ratio
 
 
 # ---------------------------------------------------------------------------

@@ -82,12 +82,12 @@ def _negative(symbols: np.ndarray):
     return ~(symbols.real >= 0.0), ~(symbols.imag >= 0.0)
 
 
-def demodulate(symbols: np.ndarray, repetition: int = 1):
+def demodulate(symbols: np.ndarray, repetition: int = 1) -> list[TokenStream]:
     """Average repetition groups, hard-decide bit pairs, reassemble tokens.
 
-    A 1-D (or 0-d) input is one stream and returns one TokenStream; a
-    (..., n) stack decodes each trailing row on its own and returns a list
-    of TokenStreams, in row-major order of the leading axes.
+    Decodes each trailing row of a (..., n) stack on its own (a 0-d or 1-D
+    input is one row) and returns a list of TokenStreams, one per row, in
+    row-major order of the leading axes.
     Each stream is truncated at its first decoded terminator. Decoded 10-bit
     values outside the token alphabet keep their low byte, so noise never
     silently changes the stream length. A trailing partial token is dropped
@@ -97,12 +97,11 @@ def demodulate(symbols: np.ndarray, repetition: int = 1):
     """
     if repetition < 1:
         raise ValueError(f"repetition must be >= 1, got {repetition}")
-    symbols = np.asarray(symbols)
-    shape = symbols.shape if symbols.ndim > 1 else (1, symbols.size)
-    n_rows, n_tokens = math.prod(shape[:-1]), shape[-1] // SYMBOLS_PER_TOKEN // repetition
+    symbols = np.atleast_1d(symbols)
+    n_rows, n = math.prod(symbols.shape[:-1]), symbols.shape[-1]
+    n_tokens = n // SYMBOLS_PER_TOKEN // repetition
     usable = n_tokens * SYMBOLS_PER_TOKEN * repetition
-    dropped = usable != shape[-1]
-    rows = symbols.reshape(n_rows, shape[-1])[:, :usable]
+    rows = symbols.reshape(n_rows, n)[:, :usable]
     if repetition > 1:
         rows = rows.reshape(n_rows, usable // repetition, repetition).mean(axis=-1)
     bits = np.empty(rows.shape + (2,), dtype=np.int64)
@@ -112,9 +111,8 @@ def demodulate(symbols: np.ndarray, repetition: int = 1):
     values[:, :-1] = bits.reshape(n_rows, n_tokens, BITS_PER_TOKEN) @ _BIT_WEIGHTS
     ends = np.argmax(values == TERMINATOR, axis=1)
     tokens = np.where(values == TERMINATOR, TERMINATOR, values & 0xFF).astype(np.uint16)
-    streams = [TokenStream(row[:end + 1], missing_terminator=bool(end == n_tokens),
-                           dropped_partial=dropped) for row, end in zip(tokens, ends)]
-    return streams if symbols.ndim > 1 else streams[0]
+    return [TokenStream(row[:end + 1], missing_terminator=bool(end == n_tokens),
+                        dropped_partial=usable != n) for row, end in zip(tokens, ends)]
 
 
 @dataclass
@@ -187,18 +185,17 @@ def hard_decide(symbols: np.ndarray) -> np.ndarray:
     return ((re + 1j * im) / _SQRT2).astype(np.complex64)
 
 
-def ser(sent: np.ndarray, decided: np.ndarray):
+def ser(sent: np.ndarray, decided: np.ndarray) -> np.ndarray:
     """Fraction of QPSK decisions that differ from the sent constellation points.
 
     A symbol is in error when the sign of its real or imaginary part differs,
     with ``hard_decide``'s quadrants (zero counts as positive, NaN as negative).
-    ``decided`` is the symbols as one row (a float), or a (..., n) stack of
-    rows each scored against the same ``sent`` (an array over the leading axes).
+    ``decided`` is one row or a (..., n) stack of rows, each scored against the
+    same ``sent``; the rates come as an array over the leading axes.
     """
     sent, decided = np.asarray(sent).ravel(), np.atleast_1d(decided)
     if sent.size != decided.shape[-1]:
         raise ShapeError(f"ser: {len(sent)} sent vs {decided.shape[-1]} decided symbols")
     (sent_re, sent_im), (got_re, got_im) = _negative(sent), _negative(decided)
     errors = (sent_re != got_re) | (sent_im != got_im)
-    rates = errors.sum(axis=-1) / max(sent.size, 1)
-    return float(rates) if decided.ndim == 1 else rates
+    return errors.sum(axis=-1) / max(sent.size, 1)

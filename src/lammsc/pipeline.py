@@ -43,7 +43,8 @@ import numpy as np
 
 from . import cge, codec, semeval
 from .channel import (MAX_SIGMA, MIN_SNR_DB, NO_NOISE, PilotPattern, apply_channel,
-                      gen_channel, ls_estimate, make_pilot_pattern, noise_variance)
+                      gen_channel, ls_estimate, make_pilot_pattern, nmse,
+                      noise_variance)
 from .errors import ConfigError, LamMscError
 from .fileio import atomic_open, json_object
 from .lkb import (Profile, default_prompt_base, load_prompt_base,
@@ -312,28 +313,30 @@ def load_profiles(cfg: PipelineConfig) -> tuple[Profile, Profile]:
 # ---------------------------------------------------------------------------
 # per-message pass: one message through every (snr, seed) draw and arm
 
-def _attempt(records: list, stage: str, fn, fallback):
-    """Run one stage for ``records``, timing it and capturing its error on each.
+def _attempt(record: TransmissionRecord, stage: str, fn, fallback, *, sharing=()):
+    """Run one stage, timing it and capturing its error on the record.
 
-    Each record is charged an equal share of the stage's wall time. An error
-    outside (LamMscError, ValueError) is a bug, not a channel outcome: it
-    gets a note naming the stage and is re-raised unchanged.
+    A stage run once for several records names the others in ``sharing``:
+    its error lands on each, and each is charged an equal share of its wall
+    time. An error outside (LamMscError, ValueError) is a bug, not a channel
+    outcome: it gets a note naming the stage and is re-raised unchanged.
     """
+    records = (record, *sharing)
     start = time.perf_counter()
     try:
         return fn()
     except (LamMscError, ValueError) as exc:
-        for record in records:
-            if record.error_stage is None:
-                record.error_stage, record.error_message = stage, str(exc)
+        for rec in records:
+            if rec.error_stage is None:
+                rec.error_stage, rec.error_message = stage, str(exc)
         return fallback
     except Exception as exc:
         exc.add_note(f"in pipeline stage {stage!r}")
         raise
     finally:
         share = (time.perf_counter() - start) / len(records)
-        for record in records:
-            record.timings[stage] = record.timings.get(stage, 0.0) + share
+        for rec in records:
+            rec.timings[stage] = rec.timings.get(stage, 0.0) + share
 
 
 def _fork(record: TransmissionRecord, **changes) -> TransmissionRecord:
@@ -374,11 +377,7 @@ def _receive(cfg: PipelineConfig, frames, stack, snrs, truth, ys, estimates) -> 
     h_est = np.stack([np.zeros_like(truth[0]) if est is None else est
                       for est in estimates]).reshape(len(ys), -1, *truth.shape[1:])
     noise_var = np.array([noise_variance(snr) for snr in snrs]).reshape(-1, 1, 1, 1, 1)
-    # nmse first, as channel.nmse per grid, so that its complex128
-    # temporaries are freed before equalize makes its own
-    truth = truth.astype(np.complex128)[:, None]
-    err = np.sum(np.abs(h_est.astype(np.complex128) - truth) ** 2, axis=(-2, -1))
-    nmses = np.mean(err / np.sum(np.abs(truth) ** 2, axis=(-2, -1)), axis=-1)
+    nmses = nmse(h_est, truth[:, None]).mean(axis=-1)
     eq = codec.equalize(ys[:, None], h_est, noise_var, cfg.equalizer)
     got = [frame.extract(eq[:, :, i]) for i, frame in enumerate(frames)]
     frame_ser = np.stack([codec.ser(frame.extract(frame.grid), g)
@@ -408,21 +407,21 @@ def _run_message(payload, cfg: PipelineConfig, stages, pattern, model, draws,
     """
     caption, to_payload, extract, recover, embed = stages
     base = TransmissionRecord(input_payload=payload)
-    base.caption = _attempt([base], "modal-transform", lambda: (
+    base.caption = _attempt(base, "modal-transform", lambda: (
         payload if isinstance(payload, str) else caption(payload)), "")
-    base.semantics = _attempt([base], "personalize-extract",
+    base.semantics = _attempt(base, "personalize-extract",
                               lambda: extract(base.caption), "")
     if not base.semantics:
         base.flags.append("empty-semantics")
-    base.reference_text = _attempt([base], "reference",
+    base.reference_text = _attempt(base, "reference",
                                    lambda: recover(base.semantics), base.semantics)
-    frames = _attempt([base], "transmit", lambda: codec.map_to_grid(codec.modulate(
+    frames = _attempt(base, "transmit", lambda: codec.map_to_grid(codec.modulate(
         codec.tokenize(base.semantics), cfg.repetition), pattern), None)
     modality = payload.modality if isinstance(payload, ScenePayload) else "image"
     drawn = [_fork(base, snr_db=snr_db, seed=seed) for snr_db, seed in draws]
     channels = [frames and _attempt(  # None once framing or the draw failed
-        [draw], "transmit", partial(_draw_channel, cfg, frames, draw.snr_db,
-                                    draw.seed), None) for draw in drawn]
+        draw, "transmit", partial(_draw_channel, cfg, frames, draw.snr_db, draw.seed),
+        None) for draw in drawn]
     records = [_fork(draw, estimator=estimator) for draw in drawn for estimator in arms]
     reached = [k for k, channel in enumerate(channels) if channel]
     if reached:
@@ -433,20 +432,21 @@ def _run_message(payload, cfg: PipelineConfig, stages, pattern, model, draws,
                  "ls": cache(partial(ls_estimate, ys, pattern)),
                  "cge": cache(partial(_cge_batch, model, pattern, ys))}
         stack = [records[k * len(arms) + a] for k in reached for a in range(len(arms))]
-        estimates = [_attempt([rec], "transmit", lambda: gains[rec.estimator]()[
+        estimates = [_attempt(rec, "transmit", lambda: gains[rec.estimator]()[
             i // len(arms)], None) for i, rec in enumerate(stack)]
         stack = [None if est is None else rec for rec, est in zip(stack, estimates)]
         if any(stack):
-            _attempt([rec for rec in stack if rec], "transmit", partial(
+            first, *others = filter(None, stack)
+            _attempt(first, "transmit", partial(
                 _receive, cfg, frames, stack, [drawn[k].snr_db for k in reached],
-                truth, ys, estimates), None)
+                truth, ys, estimates), None, sharing=others)
     reference = cache(lambda: embed(base.reference_text))
     for rec in records:
-        rec.recovered_text = _attempt([rec], "personalize-recover", lambda: recover(
+        rec.recovered_text = _attempt(rec, "personalize-recover", lambda: recover(
             rec.received_text), rec.received_text)
-        rec.recovered_payload = _attempt([rec], "modal-recovery", lambda: to_payload(
+        rec.recovered_payload = _attempt(rec, "modal-recovery", lambda: to_payload(
             rec.recovered_text, modality), None)
-        rec.cosine = _attempt([rec], "scoring", lambda: semeval.cosine(
+        rec.cosine = _attempt(rec, "scoring", lambda: semeval.cosine(
             reference(), embed(rec.recovered_text)), 0.0)
         rec.correct = rec.cosine > cfg.threshold
     return records

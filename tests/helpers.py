@@ -244,7 +244,7 @@ def reference_receive(rec, cfg, frames, channel, pattern, cge_gains) -> str:
         nmses.append(nmse(h_est, h))
         got = frame.extract(reference_equalize(y, h_est, noise_var, cfg.equalizer))
         received.append(got)
-        frame_ser.append(codec.ser(frame.extract(frame.grid), got))
+        frame_ser.append(float(codec.ser(frame.extract(frame.grid), got)))
     rec.frame_ser, rec.nmse = frame_ser, float(np.mean(nmses))
     rec.ser = (sum(s * frame.occupancy for s, frame in zip(frame_ser, frames))
                / sum(frame.occupancy for frame in frames))

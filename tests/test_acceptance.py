@@ -200,7 +200,7 @@ class TestCriterion4Codec:
             for frame in frames:
                 y = channel.apply_channel(frame.grid, ones, channel.NO_NOISE)
                 received.append(frame.extract(codec.equalize(y, ones, 0.0, "zf")))
-            back = codec.detokenize(codec.demodulate(np.concatenate(received)))
+            back = codec.detokenize(codec.demodulate(np.concatenate(received))[0])
             assert back == text, f"string {i} corrupted"
         ok("4a codec-identity")
 

@@ -209,6 +209,29 @@ class TestNmse:
         with pytest.raises(ValueError, match="all-zero"):
             channel.nmse(ones_grid(4, 4), np.zeros((4, 4), np.complex64))
 
+    def test_stack_scores_each_grid_as_alone(self):
+        """A (draws, arms, rows, cols) stack against a truth broadcast over
+        the arms gives, grid for grid, the bytes of the one-grid call."""
+        truth = np.stack([channel.gen_channel(20 + i, 8, 8, 1.0, 1.0).gains
+                          for i in range(3)])[:, None]
+        rng = np.random.default_rng(21)
+        est = (truth + rng.standard_normal((3, 4, 8, 8))).astype(np.complex64)
+        got = channel.nmse(est, truth)
+        assert got.shape == (3, 4)
+        assert got.tolist() == [[channel.nmse(e, t[0]) for e in row]
+                                for row, t in zip(est, truth)]
+
+    def test_stack_with_one_zero_truth_rejected(self):
+        truth = np.stack([ones_grid(4, 4), np.zeros((4, 4), np.complex64)])
+        with pytest.raises(ValueError, match="all-zero"):
+            channel.nmse(np.ones((5, 2, 4, 4), np.complex64), truth)
+
+    def test_non_broadcasting_shapes_rejected(self):
+        with pytest.raises(ShapeError):
+            channel.nmse(np.ones((3, 4, 4), np.complex64), np.ones((2, 4, 4)))
+        with pytest.raises(ShapeError):
+            channel.nmse(np.ones((4, 4), np.complex64), np.ones((2, 4, 4)))
+
 
 class TestDatasetFile:
     def make_set(self, n=3):

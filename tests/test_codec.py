@@ -28,7 +28,7 @@ def loopback(text: str, repetition: int = 1, pattern=None) -> str:
         y = channel.apply_channel(frame.grid, ones, channel.NO_NOISE)
         eq = codec.equalize(y, ones, 0.0, "zf")
         received.append(frame.extract(eq))
-    return codec.detokenize(codec.demodulate(np.concatenate(received), repetition))
+    return codec.detokenize(codec.demodulate(np.concatenate(received), repetition)[0])
 
 
 class TestTokenize:
@@ -157,7 +157,7 @@ class TestDemodulate:
     @settings(max_examples=60, deadline=None)
     def test_round_trip_any_repetition(self, text, repetition):
         ts = codec.tokenize(text)
-        back = codec.demodulate(codec.modulate(ts, repetition), repetition)
+        back, = codec.demodulate(codec.modulate(ts, repetition), repetition)
         assert back.tokens.tolist() == ts.tokens.tolist()
         assert not back.missing_terminator and not back.dropped_partial
 
@@ -179,12 +179,12 @@ class TestDemodulate:
             back = codec.demodulate(symbols, repetition)
             if symbols.ndim > 1:
                 rows = symbols.reshape(math.prod(symbols.shape[:-1]), symbols.shape[-1])
-                alone = [codec.demodulate(row, repetition) for row in rows]
+                alone = [codec.demodulate(row, repetition)[0] for row in rows]
                 assert [(s.tokens.tolist(), s.missing_terminator, s.dropped_partial)
                         for s in back] == [(s.tokens.tolist(), s.missing_terminator,
                                             s.dropped_partial) for s in alone]
             else:
-                rows, back = [symbols.ravel()], [back]
+                rows = [symbols.ravel()]
         per_token = codec.SYMBOLS_PER_TOKEN * repetition
         for row, stream in zip(rows, back, strict=True):
             assert stream.tokens[-1] == codec.TERMINATOR
@@ -200,8 +200,8 @@ class TestDemodulate:
     def test_decodes_the_hard_decisions(self, symbols):
         """demodulate reads each quadrant as hard_decide does, NaN and inf
         included: a part is negative unless it is >= 0."""
-        got = codec.demodulate(symbols)
-        want = codec.demodulate(codec.hard_decide(symbols))
+        got, = codec.demodulate(symbols)
+        want, = codec.demodulate(codec.hard_decide(symbols))
         assert got.tokens.tolist() == want.tokens.tolist()
         assert got.missing_terminator == want.missing_terminator
 
@@ -209,7 +209,7 @@ class TestDemodulate:
         ts = codec.tokenize("Q")
         syms = codec.modulate(ts, repetition=3).copy()
         syms[3] = -syms[3]  # middle copy of the second symbol
-        back = codec.demodulate(syms, 3)
+        back, = codec.demodulate(syms, 3)
         assert codec.detokenize(back) == "Q"
 
     def test_heavy_noise_produces_token_errors(self):
@@ -218,7 +218,7 @@ class TestDemodulate:
         syms = codec.modulate(ts)
         noisy = syms + (rng.standard_normal(syms.shape)
                         + 1j * rng.standard_normal(syms.shape)) * math.sqrt(10.0 / 2)
-        back = codec.demodulate(noisy.astype(np.complex64))
+        back, = codec.demodulate(noisy.astype(np.complex64))
         sent = ts.payload()
         got = back.payload()
         n = min(sent.size, got.size)
@@ -226,13 +226,13 @@ class TestDemodulate:
 
     def test_partial_token_dropped_with_flag(self):
         syms = codec.modulate(codec.tokenize("ab"))
-        back = codec.demodulate(syms[:-2])  # clip into the terminator token
+        back, = codec.demodulate(syms[:-2])  # clip into the terminator token
         assert back.dropped_partial or back.missing_terminator
 
     def test_missing_terminator_flagged(self):
         ts = codec.tokenize("ab")
         syms = codec.modulate(ts)[:10]  # both data tokens, no terminator
-        back = codec.demodulate(syms)
+        back, = codec.demodulate(syms)
         assert back.missing_terminator
         assert codec.detokenize(back) == "ab"
 
