@@ -99,6 +99,9 @@ def _cmd_train_cge(args) -> int:
     realizations = args.channels and channel.load_channel_dataset(args.channels)
     cge.check_training_setup(hyper, len(realizations) if args.channels else args.pairs,
                              cfg.rows, cfg.cols)
+    for flag, seed in (("--seed", args.seed), ("--data-seed", args.data_seed)):
+        if seed < 0:
+            raise ConfigError(f"{flag} must be non-negative, got {seed}")
     grid = realizations and realizations[0].gains.shape
     if grid and grid != (cfg.rows, cfg.cols):
         raise ConfigError(f"channel dataset {args.channels} holds {grid[0]}x"

@@ -38,7 +38,6 @@ class TokenStream:
 
     tokens: np.ndarray  # uint16, values 0..256
     missing_terminator: bool = False
-    dropped_partial: bool = False
 
     def __post_init__(self):
         self.tokens = np.asarray(self.tokens, dtype=np.uint16)
@@ -90,8 +89,8 @@ def demodulate(symbols: np.ndarray, repetition: int = 1) -> list[TokenStream]:
     row-major order of the leading axes.
     Each stream is truncated at its first decoded terminator. Decoded 10-bit
     values outside the token alphabet keep their low byte, so noise never
-    silently changes the stream length. A trailing partial token is dropped
-    (flagged); a missing terminator is appended (flagged). Any complex
+    silently changes the stream length. A trailing partial token is dropped;
+    a missing terminator is appended (flagged). Any complex
     input decodes, NaN and inf included; only ``repetition < 1`` raises
     (ValueError).
     """
@@ -111,8 +110,8 @@ def demodulate(symbols: np.ndarray, repetition: int = 1) -> list[TokenStream]:
     values[:, :-1] = bits.reshape(n_rows, n_tokens, BITS_PER_TOKEN) @ _BIT_WEIGHTS
     ends = np.argmax(values == TERMINATOR, axis=1)
     tokens = np.where(values == TERMINATOR, TERMINATOR, values & 0xFF).astype(np.uint16)
-    return [TokenStream(row[:end + 1], missing_terminator=bool(end == n_tokens),
-                        dropped_partial=usable != n) for row, end in zip(tokens, ends)]
+    return [TokenStream(row[:end + 1], missing_terminator=bool(end == n_tokens))
+            for row, end in zip(tokens, ends)]
 
 
 @dataclass

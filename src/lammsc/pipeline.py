@@ -6,28 +6,25 @@ demodulation -> receiver personalization -> payload, recording every
 intermediate. Both `run_pipeline` and `sweep` go through one per-message
 pass: the text stages (caption, extract, reference) and the framing run once
 per message; channel and noise are drawn once per (message, snr) and shared
-by every estimator arm. Each (draw, arm) record's gains are then estimated
-on their own; LS estimates every grid of a message in one `ls_estimate`
-call, and CGE in one `cge.estimate` batch. One stacked receive then takes
-every record with an estimate through equalization, data-cell extraction,
-symbol error rates, NMSE and decoding as a (draws, arms, frames, rows, cols)
-stack, with the truth and received grids entering once per draw and every
-sum running over one record's own grid. The receiver text stages run per
-record, and the reference text is embedded once per message.
+by every estimator arm. Each arm's gains are then estimated once for every
+draw: LS in one `ls_estimate` call, CGE in one `cge.estimate` batch. One
+stacked receive then takes every record with an estimate through
+equalization, data-cell extraction, symbol error rates, NMSE and decoding
+as a (draws, arms, frames, rows, cols) stack, with the truth and received
+grids entering once per draw and every sum running over one record's own
+grid. The receiver text stages run per record, and the reference text is
+embedded once per message.
 
-Timings and errors: each record's timings start as a copy of the shared
-stages' timings, flags and first error. The first record that needs the LS
-call, the CGE batch or the reference embedding pays for it; a call that
-fails is repeated by each record that needs it, so every such record keeps
-its own error at its own stage. An estimate that fails leaves that record
-out of the stacked receive. The stacked receive's wall time is split in
-equal shares over its records' ``timings["transmit"]``, and an error inside
-it is recorded at ``transmit`` on every one of them; an error outside
-(LamMscError, ValueError) is a bug and is re-raised with the note ``in
-pipeline stage 'transmit'`` (``sweep`` adds ``in sweep message i``).
-`run_pipeline` is the pass with one draw and one arm. A sweep seeds each
-(message, snr) draw from the master seed, so the whole run is a pure
-function of (config, corpus, master seed).
+Timings and errors: one rule covers every call whose result several records
+share. It runs once; its error lands on each of those records that has no
+earlier error, at the call's stage, and each is charged an equal share of its
+wall time. So each stage's timings, summed over a message's records, are the
+time that stage took. An arm whose estimate failed is left out of the stacked
+receive. An error outside (LamMscError, ValueError) is a bug and is re-raised
+with the note ``in pipeline stage '<stage>'`` (``sweep`` adds ``in sweep
+message i``). `run_pipeline` is the pass with one draw and one arm. A sweep
+seeds each (message, snr) draw from the master seed, so the whole run is a
+pure function of (config, corpus, master seed).
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -102,6 +99,8 @@ class PipelineConfig:
             raise ConfigError(f"snr_db entries must be inf (no noise) or finite "
                               f"and >= {MIN_SNR_DB:.6g} dB, where the noise power "
                               f"is a finite float32; got {self.snr_db}")
+        if len({_snr_key(snr) for snr in set(self.snr_db)}) < len(set(self.snr_db)):
+            raise ConfigError(f"snr_db entries {self.snr_db} collide at 6 digits")
         if self.repetition < 1:
             raise ConfigError("repetition must be >= 1")
         self.pilot_pattern()
@@ -316,10 +315,11 @@ def load_profiles(cfg: PipelineConfig) -> tuple[Profile, Profile]:
 def _attempt(record: TransmissionRecord, stage: str, fn, fallback, *, sharing=()):
     """Run one stage, timing it and capturing its error on the record.
 
-    A stage run once for several records names the others in ``sharing``:
-    its error lands on each, and each is charged an equal share of its wall
-    time. An error outside (LamMscError, ValueError) is a bug, not a channel
-    outcome: it gets a note naming the stage and is re-raised unchanged.
+    A call whose result several records share runs once, with the others
+    named in ``sharing``: its error lands on each that has no earlier error,
+    and each is charged an equal share of its wall time. An error outside
+    (LamMscError, ValueError) is a bug, not a channel outcome: it gets a note
+    naming the stage and is re-raised unchanged.
     """
     records = (record, *sharing)
     start = time.perf_counter()
@@ -337,12 +337,6 @@ def _attempt(record: TransmissionRecord, stage: str, fn, fallback, *, sharing=()
         share = (time.perf_counter() - start) / len(records)
         for rec in records:
             rec.timings[stage] = rec.timings.get(stage, 0.0) + share
-
-
-def _fork(record: TransmissionRecord, **changes) -> TransmissionRecord:
-    """Copy a record with its own timings, flags and frame_ser."""
-    return replace(record, timings=dict(record.timings), flags=list(record.flags),
-                   frame_ser=list(record.frame_ser), **changes)
 
 
 def _draw_channel(cfg: PipelineConfig, frames, snr_db: float, seed: int):
@@ -368,14 +362,12 @@ def _receive(cfg: PipelineConfig, frames, stack, snrs, truth, ys, estimates) -> 
     """The stacked pass: equalize, extract, score and decode every (draw, arm)
     record of ``stack`` at once, and store the results on the records.
 
-    ``truth`` and ``ys`` are (draws, frames, rows, cols) stacks; ``stack``
-    and ``estimates`` list the records and their gains draw-major, None where
-    the estimate failed (its slot is zero and its results are dropped). The
+    ``truth`` and ``ys`` are (draws, frames, rows, cols) stacks, ``estimates``
+    one such stack per arm, and ``stack`` lists the records draw-major. The
     truth and received grids enter once per draw, and every sum runs over one
     record's own (rows, cols) block.
     """
-    h_est = np.stack([np.zeros_like(truth[0]) if est is None else est
-                      for est in estimates]).reshape(len(ys), -1, *truth.shape[1:])
+    h_est = np.stack(estimates, axis=1)
     noise_var = np.array([noise_variance(snr) for snr in snrs]).reshape(-1, 1, 1, 1, 1)
     nmses = nmse(h_est, truth[:, None]).mean(axis=-1)
     eq = codec.equalize(ys[:, None], h_est, noise_var, cfg.equalizer)
@@ -386,68 +378,69 @@ def _receive(cfg: PipelineConfig, frames, stack, snrs, truth, ys, estimates) -> 
     occupancy = [frame.occupancy for frame in frames]
     for rec, sers, score, stream in zip(stack, frame_ser.reshape(len(stack), -1).tolist(),
                                         nmses.ravel().tolist(), streams):
-        if rec:
-            rec.frame_ser, rec.nmse = sers, score
-            rec.ser = sum(s * n for s, n in zip(sers, occupancy)) / sum(occupancy)
-            if stream.missing_terminator:
-                rec.flags.append("missing-terminator")
-            rec.received_text = codec.detokenize(stream)
+        rec.frame_ser, rec.nmse = sers, score
+        rec.ser = sum(s * n for s, n in zip(sers, occupancy)) / sum(occupancy)
+        if stream.missing_terminator:
+            rec.flags.append("missing-terminator")
+        rec.received_text = codec.detokenize(stream)
 
 
 def _run_message(payload, cfg: PipelineConfig, stages, pattern, model, draws,
                  arms) -> list[TransmissionRecord]:
     """One message through every (snr_db, seed) draw and estimator arm.
 
-    Caption, extract, reference and framing run once per message; channel and
-    noise once per draw, shared by the arms. Each record's gains are
-    estimated on their own, from one LS call and one CGE batch over every
-    draw; then one stacked pass receives every record with an estimate; the
-    reference is embedded once. Each record is forked from the shared ones,
-    so it carries their results, timings, flags and first error.
+    One record is built per (draw, arm). Caption, extract, reference and
+    framing run once, shared by every record; each channel draw once, shared
+    by its arms; each arm's estimate once over every draw (one LS call, one
+    CGE batch), shared by that arm's records; then one stacked pass receives
+    every arm with an estimate. After each record's own receiver text stages,
+    the reference is embedded once, shared by every record.
     """
     caption, to_payload, extract, recover, embed = stages
-    base = TransmissionRecord(input_payload=payload)
-    base.caption = _attempt(base, "modal-transform", lambda: (
-        payload if isinstance(payload, str) else caption(payload)), "")
-    base.semantics = _attempt(base, "personalize-extract",
-                              lambda: extract(base.caption), "")
-    if not base.semantics:
-        base.flags.append("empty-semantics")
-    base.reference_text = _attempt(base, "reference",
-                                   lambda: recover(base.semantics), base.semantics)
-    frames = _attempt(base, "transmit", lambda: codec.map_to_grid(codec.modulate(
-        codec.tokenize(base.semantics), cfg.repetition), pattern), None)
-    modality = payload.modality if isinstance(payload, ScenePayload) else "image"
-    drawn = [_fork(base, snr_db=snr_db, seed=seed) for snr_db, seed in draws]
+    records = [TransmissionRecord(payload, snr_db=snr_db, seed=seed, estimator=arm)
+               for snr_db, seed in draws for arm in arms]
+    first, *rest = records
+    text = _attempt(first, "modal-transform", lambda: (
+        payload if isinstance(payload, str) else caption(payload)), "", sharing=rest)
+    semantics = _attempt(first, "personalize-extract", lambda: extract(text), "",
+                         sharing=rest)
+    reference = _attempt(first, "reference", lambda: recover(semantics), semantics,
+                         sharing=rest)
+    frames = _attempt(first, "transmit", lambda: codec.map_to_grid(codec.modulate(
+        codec.tokenize(semantics), cfg.repetition), pattern), None, sharing=rest)
+    for rec in records:
+        rec.caption, rec.semantics, rec.reference_text = text, semantics, reference
+        if not semantics:
+            rec.flags.append("empty-semantics")
+    by_draw = [records[k:k + len(arms)] for k in range(0, len(records), len(arms))]
     channels = [frames and _attempt(  # None once framing or the draw failed
-        draw, "transmit", partial(_draw_channel, cfg, frames, draw.snr_db, draw.seed),
-        None) for draw in drawn]
-    records = [_fork(draw, estimator=estimator) for draw in drawn for estimator in arms]
-    reached = [k for k, channel in enumerate(channels) if channel]
+        group[0], "transmit", partial(_draw_channel, cfg, frames, snr_db, seed), None,
+        sharing=group[1:]) for group, (snr_db, seed) in zip(by_draw, draws)]
+    reached = [group for group, channel in zip(by_draw, channels) if channel]
     if reached:
-        truth, ys = (np.stack(grids) for grids in zip(*(channels[k] for k in reached)))
-        # computed by the first record that needs them; a failed call is not
-        # cached, so each later record retries it and records its own error
+        truth, ys = (np.stack(grids) for grids in zip(*filter(None, channels)))
         gains = {"perfect": lambda: truth, "none": lambda: np.ones_like(truth),
-                 "ls": cache(partial(ls_estimate, ys, pattern)),
-                 "cge": cache(partial(_cge_batch, model, pattern, ys))}
-        stack = [records[k * len(arms) + a] for k in reached for a in range(len(arms))]
-        estimates = [_attempt(rec, "transmit", lambda: gains[rec.estimator]()[
-            i // len(arms)], None) for i, rec in enumerate(stack)]
-        stack = [None if est is None else rec for rec, est in zip(stack, estimates)]
-        if any(stack):
-            first, *others = filter(None, stack)
-            _attempt(first, "transmit", partial(
-                _receive, cfg, frames, stack, [drawn[k].snr_db for k in reached],
-                truth, ys, estimates), None, sharing=others)
-    reference = cache(lambda: embed(base.reference_text))
+                 "ls": partial(ls_estimate, ys, pattern),
+                 "cge": partial(_cge_batch, model, pattern, ys)}
+        estimates = [_attempt(column[0], "transmit", gains[arm], None, sharing=column[1:])
+                     for arm, column in zip(arms, zip(*reached))]
+        kept = [a for a, est in enumerate(estimates) if est is not None]
+        stack = [group[a] for group in reached for a in kept]
+        if stack:
+            _attempt(stack[0], "transmit", partial(
+                _receive, cfg, frames, stack, [group[0].snr_db for group in reached],
+                truth, ys, [estimates[a] for a in kept]), None, sharing=stack[1:])
+    modality = payload.modality if isinstance(payload, ScenePayload) else "image"
     for rec in records:
         rec.recovered_text = _attempt(rec, "personalize-recover", lambda: recover(
             rec.received_text), rec.received_text)
         rec.recovered_payload = _attempt(rec, "modal-recovery", lambda: to_payload(
             rec.recovered_text, modality), None)
-        rec.cosine = _attempt(rec, "scoring", lambda: semeval.cosine(
-            reference(), embed(rec.recovered_text)), 0.0)
+    embedded = _attempt(first, "scoring", lambda: embed(reference), None, sharing=rest)
+    for rec in records:
+        if embedded is not None:
+            rec.cosine = _attempt(rec, "scoring", lambda: semeval.cosine(
+                embedded, embed(rec.recovered_text)), 0.0)
         rec.correct = rec.cosine > cfg.threshold
     return records
 

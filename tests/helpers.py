@@ -208,9 +208,7 @@ def reference_demodulate(symbols: np.ndarray, repetition: int) -> codec.TokenStr
     decoding (reference oracle)."""
     symbols = np.asarray(symbols).ravel()
     per_token = codec.SYMBOLS_PER_TOKEN * repetition
-    usable = (symbols.size // per_token) * per_token
-    dropped = usable != symbols.size
-    symbols = symbols[:usable]
+    symbols = symbols[:(symbols.size // per_token) * per_token]
     if repetition > 1:
         symbols = symbols.reshape(-1, repetition).mean(axis=1)
     bits = np.empty((symbols.size, 2), dtype=np.int64)
@@ -221,8 +219,7 @@ def reference_demodulate(symbols: np.ndarray, repetition: int) -> codec.TokenStr
     missing = term.size == 0
     values = np.append(values, codec.TERMINATOR) if missing else values[:term[0] + 1]
     tokens = np.where(values == codec.TERMINATOR, codec.TERMINATOR, values & 0xFF)
-    return codec.TokenStream(tokens.astype(np.uint16), missing_terminator=missing,
-                             dropped_partial=dropped)
+    return codec.TokenStream(tokens.astype(np.uint16), missing_terminator=missing)
 
 
 def reference_receive(rec, cfg, frames, channel, pattern, cge_gains) -> str:

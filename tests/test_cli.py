@@ -286,11 +286,17 @@ class TestSetupErrors:
         (["run", "--text", "hi", "--snr-db=-3100"], "snr_db"),
         (["sweep", "--corpus", "{corpus}", "--out", "{tmp}/r.csv",
           "--snr-db=10,-800"], "snr_db"),
+        (["sweep", "--corpus", "{corpus}", "--out", "{tmp}/r.csv",
+          "--snr-db=10,10.0000001"], "collide at 6 digits"),
+        (["train-cge", "--out", "{tmp}/m.cge", "--seed=-1"], "--seed must be"),
+        (["train-cge", "--out", "{tmp}/m.cge", "--data-seed=-1"], "--data-seed"),
     ], ids=["all-pilot", "zero-spacing", "spacing-over-extent", "zero-epochs",
             "zero-batch", "extents", "few-pairs", "train-nan-sigma",
             "train-channels-grid", "eval-model-grid", "eval-nan-sigma", "eval-no-model",
             "gen-nan-sigma", "gen-small-grid", "gen-zero-count",
-            "run-snr-overflows-noise", "sweep-snr-overflows-grid"])
+            "run-snr-overflows-noise", "sweep-snr-overflows-grid",
+            "sweep-snrs-share-a-key", "train-negative-seed",
+            "train-negative-data-seed"])
     def test_config_error(self, capsys, tmp_path, monkeypatch, tiny_model_path,
                           channels16_path, corpus_path, argv, message):
         # a call to any work function would raise
@@ -329,6 +335,8 @@ def setup_argvs(model16: str, channels16: str, out: str):
         "train-cge": ({"--out": st.just(f"{out}/m.cge")},
                       {**config, "--pairs": st.integers(-1, 300).map(str),
                        "--epochs": small, "--batch": st.integers(-1, 80).map(str),
+                       "--seed": st.integers().map(str),
+                       "--data-seed": st.integers().map(str),
                        "--channels": st.sampled_from([channels16, f"{out}/no.lmch"])}),
         "eval-cge": ({"--model": st.sampled_from([model16, f"{out}/no.cge"]),
                       "--rows": st.just("16"), "--cols": st.just("16")},

@@ -159,7 +159,7 @@ class TestDemodulate:
         ts = codec.tokenize(text)
         back, = codec.demodulate(codec.modulate(ts, repetition), repetition)
         assert back.tokens.tolist() == ts.tokens.tolist()
-        assert not back.missing_terminator and not back.dropped_partial
+        assert not back.missing_terminator
 
     @given(hnp.arrays(st.sampled_from([np.complex64, np.complex128]),
                       hnp.array_shapes(min_dims=0, max_dims=3, max_side=24),
@@ -180,9 +180,8 @@ class TestDemodulate:
             if symbols.ndim > 1:
                 rows = symbols.reshape(math.prod(symbols.shape[:-1]), symbols.shape[-1])
                 alone = [codec.demodulate(row, repetition)[0] for row in rows]
-                assert [(s.tokens.tolist(), s.missing_terminator, s.dropped_partial)
-                        for s in back] == [(s.tokens.tolist(), s.missing_terminator,
-                                            s.dropped_partial) for s in alone]
+                assert [(s.tokens.tolist(), s.missing_terminator) for s in back] == [
+                    (s.tokens.tolist(), s.missing_terminator) for s in alone]
             else:
                 rows = [symbols.ravel()]
         per_token = codec.SYMBOLS_PER_TOKEN * repetition
@@ -190,7 +189,6 @@ class TestDemodulate:
             assert stream.tokens[-1] == codec.TERMINATOR
             assert np.count_nonzero(stream.tokens == codec.TERMINATOR) == 1
             assert stream.tokens.size <= row.size // per_token + 1
-            assert stream.dropped_partial == (row.size % per_token != 0)
             assert isinstance(codec.detokenize(stream), str)
 
     @given(hnp.arrays(st.sampled_from([np.complex64, np.complex128]),
@@ -227,7 +225,8 @@ class TestDemodulate:
     def test_partial_token_dropped_with_flag(self):
         syms = codec.modulate(codec.tokenize("ab"))
         back, = codec.demodulate(syms[:-2])  # clip into the terminator token
-        assert back.dropped_partial or back.missing_terminator
+        assert back.missing_terminator
+        assert codec.detokenize(back) == "ab"
 
     def test_missing_terminator_flagged(self):
         ts = codec.tokenize("ab")

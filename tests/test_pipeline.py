@@ -80,6 +80,13 @@ class TestConfig:
     def test_inf_snr_is_no_noise(self):
         pipeline.PipelineConfig(snr_db=[NO_NOISE, 10.0]).validate()
 
+    def test_snrs_sharing_a_report_key_rejected(self):
+        """Two SNRs with the same 6-digit key would share a CSV row label,
+        their draw seeds and their failure counts; exact duplicates collapse."""
+        with pytest.raises(ConfigError, match="snr_db"):
+            pipeline.PipelineConfig(snr_db=[10.0, 10.0000001]).validate()
+        pipeline.PipelineConfig(snr_db=[10.0, 10.0, 10.0001]).validate()
+
     @pytest.mark.parametrize("df, dt, message", [
         (1, 1, "no data cell"), (0, 4, ">= 1"), (4, 0, ">= 1"), (64, 4, "exceed"),
         (4, 33, "exceed")])
@@ -489,9 +496,9 @@ class TestStackedPass:
 
     def test_stacked_pass_time_is_shared(self, monkeypatch, profiles, scenes,
                                          multiframe_cfg):
-        """Each record keeps its draw's transmit time and its own estimate's,
-        plus an equal share of the stacked pass: one tick of a clock that
-        ticks once per reading, over the 12 records."""
+        """Every call is charged in equal shares to the records that share
+        it: on a clock that ticks once per reading, each call takes one tick,
+        and each stage's timings summed over the records are its ticks."""
         clock = itertools.count()
         monkeypatch.setattr(pipeline.time, "perf_counter", lambda: float(next(clock)))
         cfg = multiframe_cfg
@@ -500,10 +507,77 @@ class TestStackedPass:
             cge.load_model(cfg.model_path),
             [(snr, pipeline.derive_seed(4, snr)) for snr in cfg.snr_db], cfg.estimators)
         assert len(records) == 12
+        ticks = {"modal-transform": 1, "personalize-extract": 1, "reference": 1,
+                 # framing, 3 draws, 4 arm estimates and the stacked pass
+                 "transmit": 1 + 3 + 4 + 1,
+                 "personalize-recover": 12, "modal-recovery": 12,
+                 # the reference embedding, then each record's own
+                 "scoring": 1 + 12}
+        assert {stage: sum(r.timings[stage] for r in records) for stage in ticks} == {
+            stage: pytest.approx(n) for stage, n in ticks.items()}
         for rec in records:
-            # framing, the draw and the estimate, one tick each, then the share
-            assert rec.timings["transmit"] == 3.0 + 1.0 / 12
-            assert rec.timings["scoring"] == 1.0
+            # framing over 12, the draw over its 4 arms, the arm's estimate
+            # over its 3 draws and the stacked pass over 12
+            assert rec.timings["transmit"] == 1 / 12 + 1 / 4 + 1 / 3 + 1 / 12
+            assert rec.timings["scoring"] == 1 / 12 + 1
+
+    def test_failed_ls_call_runs_once(self, monkeypatch, profiles, scenes,
+                                      multiframe_cfg):
+        """A failing LS estimate is called once per message and lands on every
+        ls record; the other arms are as in a run where it works."""
+        cfg = multiframe_cfg
+        draws = [(snr, pipeline.derive_seed(6, snr)) for snr in cfg.snr_db]
+
+        def run():
+            return pipeline._run_message(
+                scenes[5], cfg, pipeline._bind_stages(cfg, *profiles),
+                cfg.pilot_pattern(), cge.load_model(cfg.model_path), draws,
+                cfg.estimators)
+
+        clean, calls = run(), Counter()
+
+        def down(ys, pattern):
+            calls["ls"] += 1
+            raise ValueError("ls down")
+
+        monkeypatch.setattr(pipeline, "ls_estimate", down)
+        failed = run()
+        assert calls["ls"] == 1
+        assert len(failed) == len(clean) == 3 * 4
+        for rec, ok in zip(failed, clean):
+            if rec.estimator == "ls":
+                assert (rec.error_stage, rec.error_message) == ("transmit", "ls down")
+                assert not rec.frame_ser and rec.received_text == ""
+            else:
+                assert without_timings(rec) == without_timings(ok)
+
+    def test_failed_reference_embedding_runs_once(self, profiles, scenes,
+                                                  multiframe_cfg):
+        """A failing reference embedding is called once, no record's text is
+        embedded after it, and it lands at scoring on each record that had no
+        earlier error; earlier errors are kept."""
+        cfg = multiframe_cfg
+        draws = [(snr, pipeline.derive_seed(2, snr)) for snr in cfg.snr_db]
+        stages = pipeline._bind_stages(cfg, *profiles)
+        args = (cfg.pilot_pattern(), cge.load_model(cfg.model_path), draws,
+                cfg.estimators)
+        clean, calls = pipeline._run_message(scenes[0], cfg, stages, *args), Counter()
+
+        def down(text):
+            calls["embed"] += 1
+            raise LamMscError("embed down")
+
+        failed = pipeline._run_message(scenes[0], cfg, (*stages[:4], down), *args)
+        assert calls["embed"] == 1
+        earlier = [ok.error_stage for ok in clean if ok.error_stage]
+        assert earlier and len(earlier) < len(clean)  # both kinds occur
+        for rec, ok in zip(failed, clean):
+            assert rec.cosine == 0.0
+            if ok.error_stage is None:
+                assert (rec.error_stage, rec.error_message) == ("scoring", "embed down")
+            else:
+                assert (rec.error_stage, rec.error_message) == (ok.error_stage,
+                                                                ok.error_message)
 
 
 class TestFailures:
