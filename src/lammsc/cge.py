@@ -14,7 +14,13 @@ Model file format (magic ``CGE1``, version 1):
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -138,18 +144,25 @@ def estimate(model: CganModel, condition: np.ndarray) -> np.ndarray:
 # training
 
 def _disc_pass(disc: nn.Sequential, conds: np.ndarray, x: np.ndarray,
-               target: float, **skip):
+               target: float, count: int, **skip):
     """One recorded discriminator pass on (condition, x) pairs against a BCE
     ``target`` for every pair: conv chain, sigmoid of the spatial mean as the
-    (N,) score, then back through the chain; ``skip`` takes the keywords of
-    ``Sequential.backward``. Returns (loss, (dx, grads))."""
+    (N,) score, then back through the chain, with the BCE gradient a mean
+    over the ``count`` pairs of the whole batch, which these may be a lane
+    of. ``skip`` takes the keywords of ``Sequential.backward``. Returns
+    (scores, (dx, grads))."""
     z = disc.forward(np.concatenate([conds, x], 1), record=True)
     p = nn.activate("sigmoid", z.mean(axis=(1, 2, 3)))
     t = np.full(p.shape, target, np.float32)
-    ds = nn.bce_grad(p, t) * p * (1.0 - p)
+    ds = nn.bce_grad(p, t, count) * p * (1.0 - p)
     dz = np.broadcast_to((ds / z[0].size)[:, None, None, None], z.shape)
-    return nn.bce_loss(p, t), disc.backward(
-        np.ascontiguousarray(dz, dtype=np.float32), **skip)
+    return p, disc.backward(np.ascontiguousarray(dz, dtype=np.float32), **skip)
+
+
+def _bce(scores, target: float) -> float:
+    """Mean BCE of the lanes' scores, joined in lane order, against ``target``."""
+    p = np.concatenate(scores)
+    return nn.bce_loss(p, np.full(p.shape, target, np.float32))
 
 
 def _stack_batch(dataset, indices):
@@ -171,6 +184,86 @@ def check_training_setup(hyper: TrainConfig, count: int, rows: int, cols: int) -
                           f"{rows}x{cols}")
 
 
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or
+    None where numpy's BLAS does not expose it."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                       "numpy.libs", "*openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _lane_runner():
+    """Yield ``run(fn, lanes)``, which returns ``[fn(*args) for args in
+    lanes]`` for one or two lanes of arguments.
+
+    Where numpy's OpenBLAS exposes its thread count, it is pinned to 1 thread
+    for the whole block, process-wide, and restored when the block ends,
+    also on an error; lane 0 runs on the calling thread and lane 1 on one
+    worker thread. Elsewhere the lanes run one after the other. A lane's
+    error surfaces as itself.
+    """
+    blas = _openblas()
+    if blas is None:
+        yield lambda fn, lanes: [fn(*args) for args in lanes]
+        return
+    get, put = blas
+    saved = get()
+    put(1)
+    try:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            def run(fn, lanes):
+                second = pool.submit(fn, *lanes[1]) if len(lanes) > 1 else None
+                return [fn(*lanes[0])] + ([second.result()] if second else [])
+
+            yield run
+    finally:
+        put(saved)
+
+
+def _lane_slices(n: int) -> list[slice]:
+    """The two fixed lanes of an n-sample batch: the first ceil(n/2) samples
+    and the rest; a batch of one is one lane."""
+    half = -(-n // 2)
+    return [slice(0, half), slice(half, n)] if n > 1 else [slice(0, n)]
+
+
+def _lane_sum(grads) -> list[np.ndarray]:
+    """Per-parameter sum of the lanes' gradient lists, in lane order."""
+    return [functools.reduce(np.add, per_lane) for per_lane in zip(*grads)]
+
+
+def _critic_lane(gen: nn.Sequential, disc: nn.Sequential, conds, gains, n: int):
+    """Phase 1 of a lane of an n-pair batch: the generated gains, then the
+    discriminator's scores and summed gradients on real pairs (target 1) and
+    generated pairs (target 0). Returns (fake, real scores, fake scores,
+    grads)."""
+    fake = gen.forward(conds, record=True)
+    p_real, (_, grads_real) = _disc_pass(disc, conds, gains, 1.0, n, input_grad=False)
+    p_fake, (_, grads_fake) = _disc_pass(disc, conds, fake, 0.0, n, input_grad=False)
+    return fake, p_real, p_fake, [a + b for a, b in zip(grads_real, grads_fake)]
+
+
+def _generator_lane(gen: nn.Sequential, disc: nn.Sequential, conds, gains, n: int,
+                    fake, lam: np.float32):
+    """Phase 2 of a lane: fool the updated discriminator (target 1) and stay
+    close to the true gains in L1, weighted by ``lam``, back through the
+    generator pass of phase 1. Returns (adversarial scores, generator grads)."""
+    p_adv, (dx, _) = _disc_pass(disc, conds, fake, 1.0, n, param_grads=False)
+    dfake = dx[:, CONDITION_CHANNELS:] + lam * nn.l1_grad(fake, gains, n * fake[0].size)
+    return p_adv, gen.backward(dfake, input_grad=False)[1]
+
+
 def train_cgan(dataset, hyper: TrainConfig | None = None, seed: int = 0,
                on_epoch=None) -> CganModel:
     """Adversarial training on (condition, true gains) pairs.
@@ -179,6 +272,14 @@ def train_cgan(dataset, hyper: TrainConfig | None = None, seed: int = 0,
     validation NMSE are recorded per epoch, and ``on_epoch(epoch, history)``,
     if given, is called after each epoch is recorded. Deterministic: the same
     seed and dataset give bit-identical weights.
+
+    Each batch runs as two fixed lanes (``_lane_slices``), each through its
+    own ``Sequential`` pair over the model's layers, in two phases: generator
+    forward and the real and fake discriminator passes, then the adversarial
+    pass and the generator backward. After each phase the lanes' gradients
+    are summed in lane order for one Adam step: the full batch's gradient up
+    to float order. The lanes run in two threads with OpenBLAS pinned to 1
+    thread (``_lane_runner``), or one after the other with the same bytes.
     """
     hyper = hyper or TrainConfig()
     rows, cols = dataset[0][1].shape if len(dataset) else (0, 0)
@@ -189,6 +290,7 @@ def train_cgan(dataset, hyper: TrainConfig | None = None, seed: int = 0,
     adam = {"lr": hyper.lr, "beta1": hyper.beta1, "beta2": hyper.beta2}
     g_state = nn.AdamState.for_params(gen.parameters(), **adam)
     d_state = nn.AdamState.for_params(disc.parameters(), **adam)
+    nets = [(nn.Sequential(gen.layers), nn.Sequential(disc.layers)) for _ in range(2)]
 
     perm = rng.permutation(len(dataset))
     n_val = max(1, int(round(len(dataset) * hyper.val_fraction)))
@@ -197,44 +299,38 @@ def train_cgan(dataset, hyper: TrainConfig | None = None, seed: int = 0,
 
     history = model.history
     lam = np.float32(hyper.lambda_l1)
-    for epoch in range(hyper.epochs):
-        order = rng.permutation(train_idx)
-        d_losses = []
-        g_losses = []
-        for start in range(0, len(order), hyper.batch_size):
-            batch = order[start:start + hyper.batch_size]
-            conds, gains = _stack_batch(dataset, batch)
+    with _lane_runner() as run:
+        for epoch in range(hyper.epochs):
+            order = rng.permutation(train_idx)
+            d_losses = []
+            g_losses = []
+            for start in range(0, len(order), hyper.batch_size):
+                batch = order[start:start + hyper.batch_size]
+                conds, gains = _stack_batch(dataset, batch)
+                lanes = [(*net, conds[s], gains[s], len(batch))
+                         for net, s in zip(nets, _lane_slices(len(batch)))]
 
-            # discriminator: real pairs up, generated pairs down
-            fake = gen.forward(conds, record=True)
-            loss_real, (_, grads_real) = _disc_pass(disc, conds, gains, 1.0,
-                                                    input_grad=False)
-            loss_fake, (_, grads_fake) = _disc_pass(disc, conds, fake, 0.0,
-                                                    input_grad=False)
-            d_loss = loss_real + loss_fake
-            nn.adam_step(disc.parameters(),
-                         [a + b for a, b in zip(grads_real, grads_fake)], d_state)
+                fakes, p_real, p_fake, d_grads = zip(*run(_critic_lane, lanes))
+                d_loss = _bce(p_real, 1.0) + _bce(p_fake, 0.0)
+                nn.adam_step(disc.parameters(), _lane_sum(d_grads), d_state)
 
-            # generator: fool the updated discriminator, stay close in L1
-            adv_loss, (dx, _) = _disc_pass(disc, conds, fake, 1.0,
-                                           param_grads=False)
-            l1 = nn.l1_loss(fake, gains)
-            g_loss = adv_loss + float(lam) * l1
-            dfake = dx[:, CONDITION_CHANNELS:] + lam * nn.l1_grad(fake, gains)
-            _, g_grads = gen.backward(dfake, input_grad=False)
-            nn.adam_step(gen.parameters(), g_grads, g_state)
+                p_adv, g_grads = zip(*run(_generator_lane, [
+                    (*lane, fake, lam) for lane, fake in zip(lanes, fakes)]))
+                l1 = nn.l1_loss(np.concatenate(fakes), gains)
+                g_loss = _bce(p_adv, 1.0) + float(lam) * l1
+                nn.adam_step(gen.parameters(), _lane_sum(g_grads), g_state)
 
-            if not (np.isfinite(d_loss) and np.isfinite(g_loss)):
-                raise TrainingError(f"non-finite loss at epoch {epoch}, step "
-                                    f"{start // hyper.batch_size}: d={d_loss}, "
-                                    f"g={g_loss}")
-            d_losses.append(d_loss)
-            g_losses.append(g_loss)
-        history.d_loss.append(float(np.mean(d_losses)))
-        history.g_loss.append(float(np.mean(g_losses)))
-        history.val_nmse.append(evaluate_nmse(model, val_pairs))
-        if on_epoch is not None:
-            on_epoch(epoch, history)
+                if not (np.isfinite(d_loss) and np.isfinite(g_loss)):
+                    raise TrainingError(f"non-finite loss at epoch {epoch}, step "
+                                        f"{start // hyper.batch_size}: d={d_loss}, "
+                                        f"g={g_loss}")
+                d_losses.append(d_loss)
+                g_losses.append(g_loss)
+            history.d_loss.append(float(np.mean(d_losses)))
+            history.g_loss.append(float(np.mean(g_losses)))
+            history.val_nmse.append(evaluate_nmse(model, val_pairs))
+            if on_epoch is not None:
+                on_epoch(epoch, history)
     return model
 
 

@@ -381,10 +381,15 @@ def bce_loss(pred: np.ndarray, target: np.ndarray) -> float:
     return float(-np.mean(t * np.log(p) + (1.0 - t) * np.log1p(-p)))
 
 
-def bce_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+def bce_grad(pred: np.ndarray, target: np.ndarray,
+             count: int | None = None) -> np.ndarray:
+    """Gradient of ``bce_loss`` as a mean over ``count`` predictions, by
+    default over ``pred`` alone; a lane of a larger batch passes the
+    batch's count."""
     pred, target = _same_shape(pred, target, "bce_grad")
     p = np.clip(pred, _BCE_EPS, 1.0 - _BCE_EPS)
-    g = (-target / p + (1.0 - target) / (1.0 - p)) / pred.size
+    size = pred.size if count is None else count
+    g = (-target / p + (1.0 - target) / (1.0 - p)) / size
     g[(pred < _BCE_EPS) | (pred > 1.0 - _BCE_EPS)] = 0.0  # clamp is flat
     return g.astype(np.float32)
 
@@ -395,9 +400,12 @@ def l1_loss(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean(np.abs(a.astype(np.float64) - b.astype(np.float64))))
 
 
-def l1_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def l1_grad(a: np.ndarray, b: np.ndarray, count: int | None = None) -> np.ndarray:
+    """Gradient of ``l1_loss`` as a mean over ``count`` elements, by default
+    over ``a`` alone, as in ``bce_grad``."""
     a, b = _same_shape(a, b, "l1_grad")
-    return (np.sign(a - b) / a.size).astype(np.float32)
+    size = a.size if count is None else count
+    return (np.sign(a - b) / size).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +418,11 @@ class Sequential:
     ``backward``; a backward call without a recorded forward is rejected.
     A ``forward`` without ``record`` leaves the stored inputs alone, so
     inference may run between a recorded forward and its backward.
+
+    The recorded inputs belong to this ``Sequential``, the parameters to its
+    ``LayerParams``. Two threads therefore train one network through two
+    ``Sequential``s over the same layers: each keeps its own recorded
+    inputs, and an in-place update of the shared arrays reaches both.
     """
 
     def __init__(self, layers):

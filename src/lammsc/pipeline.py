@@ -52,6 +52,8 @@ from .wire import Endpoint
 ESTIMATORS = ("perfect", "cge", "ls", "none")
 BACKENDS = ("mock", "remote")
 REPORT_HEADER = "snr_db,estimator,accuracy,mean_cosine,mean_nmse,mean_ser,n"
+# a record whose first error is at one of these stages had no text sent
+_UNSENT = ("modal-transform", "personalize-extract", "transmit")
 # JSON types a config value may have, by PipelineConfig field annotation
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool,
                "list[float]": list, "list[str] | None": (list, type(None))}
@@ -394,7 +396,10 @@ def _run_message(payload, cfg: PipelineConfig, stages, pattern, model, draws,
     by its arms; each arm's estimate once over every draw (one LS call, one
     CGE batch), shared by that arm's records; then one stacked pass receives
     every arm with an estimate. After each record's own receiver text stages,
-    the reference is embedded once, shared by every record.
+    the reference is embedded once, shared by every record. A record is
+    correct only if its text was sent (no first error in ``_UNSENT``),
+    received (``frame_ser`` set) and scored above the threshold; a failed
+    scoring leaves the 0.0 fallback cosine.
     """
     caption, to_payload, extract, recover, embed = stages
     records = [TransmissionRecord(payload, snr_db=snr_db, seed=seed, estimator=arm)
@@ -438,10 +443,11 @@ def _run_message(payload, cfg: PipelineConfig, stages, pattern, model, draws,
             rec.recovered_text, modality), None)
     embedded = _attempt(first, "scoring", lambda: embed(reference), None, sharing=rest)
     for rec in records:
-        if embedded is not None:
-            rec.cosine = _attempt(rec, "scoring", lambda: semeval.cosine(
-                embedded, embed(rec.recovered_text)), 0.0)
-        rec.correct = rec.cosine > cfg.threshold
+        score = None if embedded is None else _attempt(rec, "scoring", lambda: (
+            semeval.cosine(embedded, embed(rec.recovered_text))), None)
+        rec.cosine = 0.0 if score is None else score
+        rec.correct = bool(score is not None and score > cfg.threshold and rec.frame_ser
+                           and rec.error_stage not in _UNSENT)
     return records
 
 
@@ -458,9 +464,8 @@ def run_pipeline(payload, cfg: PipelineConfig, sender: Profile, receiver: Profil
     cfg = replace(cfg, snr_db=cfg.snr_db[:1] if snr_db is None else [snr_db],
                   estimators=[estimator or cfg.arms()[0]])
     arms, stages, pattern, model = _setup(cfg, (sender, receiver))
-    seed = cfg.master_seed if seed is None else seed
-    return _run_message(payload, cfg, stages, pattern, model,
-                        [(cfg.snr_db[0], seed)], arms)[0]
+    return _run_message(payload, cfg, stages, pattern, model, [(
+        cfg.snr_db[0], cfg.master_seed if seed is None else seed)], arms)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +475,14 @@ def sweep(cfg: PipelineConfig, messages) -> SweepReport:
     """Run every (snr, estimator) arm over the corpus with paired seeds.
 
     Each message makes one per-message pass over all SNRs and arms; only
-    (cosine, nmse, ser, error stage) of each record is kept, in the cell of
-    the record's (snr_db, estimator), and rows come in sorted order. A record
-    whose transmit failed (empty ``frame_ser``) counts in accuracy,
-    mean_cosine and n but not in mean_nmse or mean_ser; a cell with no
-    estimate at all reports them as nan. ``failures`` counts the failed
-    records of each cell by the stage of their first error.
+    (cosine, correct, nmse, ser, error stage) of each record is kept, in the
+    cell of the record's (snr_db, estimator), and rows come in sorted order.
+    Accuracy is the share of the cell's records marked correct. A record
+    whose transmit failed (empty ``frame_ser``) counts in accuracy (never as
+    correct), mean_cosine (at its 0.0) and n but not in mean_nmse or
+    mean_ser; a cell with no estimate at all reports them as nan.
+    ``failures`` counts the failed records of each cell by the stage of
+    their first error.
     """
     messages = list(messages)
     if not messages:
@@ -494,15 +501,14 @@ def sweep(cfg: PipelineConfig, messages) -> SweepReport:
         for rec in records:
             estimate = (rec.nmse, rec.ser) if rec.frame_ser else None
             results.setdefault((rec.snr_db, rec.estimator), []).append(
-                (rec.cosine, estimate, rec.error_stage))
+                (rec.cosine, rec.correct, estimate, rec.error_stage))
     rows, failures = [], Counter()
     for (snr, est), cell in sorted(results.items()):
-        scores, estimates, stages = zip(*cell)
+        scores, correct, estimates, stages = zip(*cell)
         estimates = [e for e in estimates if e is not None]
         mean_nmse, mean_ser = ([float(np.mean(v)) for v in zip(*estimates)]
                                if estimates else (math.nan, math.nan))
-        accuracy = semeval.accuracy_from_scores(scores, cfg.threshold)
-        rows.append(SweepRow(snr, est, accuracy, float(np.mean(scores)),
+        rows.append(SweepRow(snr, est, sum(correct) / len(cell), float(np.mean(scores)),
                              mean_nmse, mean_ser, len(messages)))
         failures.update(f"{_snr_key(snr)}/{est}/{stage}" for stage in stages if stage)
     return SweepReport(rows, dict(failures))

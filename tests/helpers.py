@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 
-from lammsc import cge, codec, pipeline, semeval
+from lammsc import cge, codec, nn, pipeline, semeval
 from lammsc.channel import (ChannelRealization, _gauss_taps, ls_estimate, nmse,
                             noise_variance)
 from lammsc.errors import LamMscError
@@ -116,6 +116,46 @@ def reference_layer(kind: str, weights: np.ndarray, bias: np.ndarray, stride: in
           ).reshape(weights.shape)
     db = dz.sum(axis=(0, 2, 3))
     return z, dx, dw, db
+
+
+def reference_first_step(dataset, hyper, seed: int):
+    """The first step of cge.train_cgan as one full-batch lane on the model's
+    own networks, drawn from the same seed: the discriminator step on real
+    and generated pairs, then the generator step against the updated
+    discriminator. Returns (model, d_loss, g_loss) (reference oracle for the
+    two-lane step)."""
+    rng = np.random.default_rng(seed)
+    model = cge._init_model(*dataset[0][1].shape, rng, hyper)
+    gen, disc = model.generator, model.discriminator
+    adam = {"lr": hyper.lr, "beta1": hyper.beta1, "beta2": hyper.beta2}
+    g_state = nn.AdamState.for_params(gen.parameters(), **adam)
+    d_state = nn.AdamState.for_params(disc.parameters(), **adam)
+    perm = rng.permutation(len(dataset))
+    n_val = max(1, int(round(len(dataset) * hyper.val_fraction)))
+    order = rng.permutation(perm[n_val:])
+    conds, gains = cge._stack_batch(dataset, order[:hyper.batch_size])
+
+    def disc_pass(x, target, **skip):
+        z = disc.forward(np.concatenate([conds, x], 1), record=True)
+        p = nn.activate("sigmoid", z.mean(axis=(1, 2, 3)))
+        t = np.full(p.shape, target, np.float32)
+        ds = nn.bce_grad(p, t) * p * (1.0 - p)
+        dz = np.broadcast_to((ds / z[0].size)[:, None, None, None], z.shape)
+        return nn.bce_loss(p, t), disc.backward(
+            np.ascontiguousarray(dz, dtype=np.float32), **skip)
+
+    fake = gen.forward(conds, record=True)
+    loss_real, (_, grads_real) = disc_pass(gains, 1.0, input_grad=False)
+    loss_fake, (_, grads_fake) = disc_pass(fake, 0.0, input_grad=False)
+    nn.adam_step(disc.parameters(), [a + b for a, b in zip(grads_real, grads_fake)],
+                 d_state)
+    lam = np.float32(hyper.lambda_l1)
+    adv_loss, (dx, _) = disc_pass(fake, 1.0, param_grads=False)
+    _, g_grads = gen.backward(dx[:, cge.CONDITION_CHANNELS:]
+                              + lam * nn.l1_grad(fake, gains), input_grad=False)
+    nn.adam_step(gen.parameters(), g_grads, g_state)
+    return (model, loss_real + loss_fake,
+            adv_loss + float(lam) * nn.l1_loss(fake, gains))
 
 
 def rel_err(a: float, b: float, floor: float = 1e-3) -> float:
@@ -295,8 +335,11 @@ def reference_run_message(payload, cfg, stages, pattern, model, draws, arms) -> 
                 rec.received_text), rec.received_text)
             rec.recovered_payload = attempt(rec, "modal-recovery", lambda: to_payload(
                 rec.recovered_text, modality), None)
-            rec.cosine = attempt(rec, "scoring", lambda: semeval.cosine(
-                embed(base.reference_text), embed(rec.recovered_text)), 0.0)
-            rec.correct = rec.cosine > cfg.threshold
+            score = attempt(rec, "scoring", lambda: semeval.cosine(
+                embed(base.reference_text), embed(rec.recovered_text)), None)
+            rec.cosine = 0.0 if score is None else score
+            rec.correct = (score is not None and score > cfg.threshold
+                           and bool(rec.frame_ser) and rec.error_stage not in (
+                               "modal-transform", "personalize-extract", "transmit"))
             records.append(rec)
     return records

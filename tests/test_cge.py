@@ -1,4 +1,6 @@
 import hashlib
+import sys
+import threading
 from dataclasses import asdict
 
 import numpy as np
@@ -7,14 +9,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lammsc import cge, channel, fileio, nn
-from lammsc.errors import ConfigError, FormatError, ShapeError
+from lammsc.errors import ConfigError, FormatError, ShapeError, TrainingError
+
+from helpers import reference_first_step
 
 
 CGE1_PINNED_SHA256 = ("6900d431c8028a7e282965cc67a6b3a5"
                       "af5de8c756c5f1aef675f356f945112d")
 # weights after test_tiny_training_pinned's one-epoch run; they must not drift
-TINY_WEIGHTS_SHA256 = ("d05a34876dbc1ca973f7d56af4efde1e"
-                       "603a3c62ca080e535594ef6b4a670034")
+TINY_WEIGHTS_SHA256 = ("5a57bcdf37dd5b8daee25473e3225329"
+                       "e14600720b2cba2f9dd9dbaffff7caa0")
 
 # cge.estimate on a batch of 8 conditions through an untrained 32x32 model
 ESTIMATE_32_PINNED_SHA256 = ("dec8174b227d641ddabef13334e38057"
@@ -65,7 +69,8 @@ class TestArchitecture:
         x = rng.standard_normal((4, 6, 32, 32)).astype(np.float32)
         for target in (1.0, 0.0):
             # a finite positive BCE: every score lies strictly inside (0, 1)
-            loss, (dx, grads) = cge._disc_pass(disc, x[:, :4], x[:, 4:], target)
+            scores, (dx, grads) = cge._disc_pass(disc, x[:, :4], x[:, 4:], target, 4)
+            loss = nn.bce_loss(scores, np.full(scores.shape, target, np.float32))
             assert np.isfinite(loss) and loss > 0.0
             assert dx.shape == x.shape
             assert [g.shape for g in grads] == [p.shape for p in disc.parameters()]
@@ -172,7 +177,7 @@ class TestTraining:
         params = model.generator.parameters() + model.discriminator.parameters()
         digest = hashlib.sha256(b"".join(p.tobytes() for p in params)).hexdigest()
         assert digest == TINY_WEIGHTS_SHA256
-        assert model.history.val_nmse == [0.9998433650893332]
+        assert model.history.val_nmse == [0.9998433650989321]
 
     @pytest.mark.parametrize("hyper, extent, message", [
         (cge.TrainConfig(epochs=0), 16, "epoch"),
@@ -189,6 +194,122 @@ class TestTraining:
     def test_small_dataset_rejected(self):
         with pytest.raises(ValueError, match="64"):
             cge.train_cgan(small_dataset(10), cge.TrainConfig(epochs=1), seed=0)
+
+
+def weight_bytes(model) -> bytes:
+    return b"".join(p.tobytes() for p in
+                    model.generator.parameters() + model.discriminator.parameters())
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's thread count getter, with the count set to 2 for the test
+    so a pin to 1 shows, and the old count put back afterwards."""
+    blas = cge._openblas()
+    if blas is None:
+        pytest.skip("numpy's BLAS does not expose its thread count")
+    get, put = blas
+    saved = get()
+    put(2)
+    yield get
+    put(saved)
+
+
+class TestLanes:
+    def test_lane_split(self):
+        assert cge._lane_slices(7) == [slice(0, 4), slice(4, 7)]
+        assert cge._lane_slices(16) == [slice(0, 8), slice(8, 16)]
+        assert cge._lane_slices(1) == [slice(0, 1)]
+
+    # (pairs, batch size): 63 training pairs in batches of 7 (4 + 3 lanes);
+    # batches of 1 (one lane); batches of 16 with a last batch of 10
+    @pytest.mark.parametrize("pairs, batch", [(70, 7), (64, 1), (64, 16)],
+                             ids=["batch-7", "batch-1", "short-last-batch"])
+    def test_threads_and_sequence_give_identical_bytes(self, monkeypatch, blas_threads,
+                                                       pairs, batch):
+        data = small_dataset(pairs)
+        hyper = cge.TrainConfig(epochs=1, batch_size=batch)
+        threads = set()
+        disc_pass = cge._disc_pass
+
+        def seen(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return disc_pass(*args, **kwargs)
+
+        monkeypatch.setattr(cge, "_disc_pass", seen)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # the lanes' Python code interleaves finely
+        try:
+            threaded = cge.train_cgan(data, hyper, seed=14)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threads) == (1 if batch == 1 else 2)
+        threads.clear()
+        monkeypatch.setattr(cge, "_openblas", lambda: None)
+        in_turn = cge.train_cgan(data, hyper, seed=14)
+        assert threads == {threading.get_ident()}
+        assert weight_bytes(threaded) == weight_bytes(in_turn)
+        assert threaded.history == in_turn.history
+
+    def test_one_step_matches_single_lane_reference(self):
+        # 58 training pairs at batch 64: one step of two 29-pair lanes
+        data = small_dataset(64)
+        hyper = cge.TrainConfig(epochs=1, batch_size=64)
+        lanes = cge.train_cgan(data, hyper, seed=14)
+        ref, d_loss, g_loss = reference_first_step(data, hyper, seed=14)
+        assert lanes.history.d_loss == [pytest.approx(d_loss, rel=1e-6)]
+        assert lanes.history.g_loss == [pytest.approx(g_loss, rel=1e-6)]
+        # a first Adam step moves each weight by lr * g / (|g| + eps), at most
+        # lr; the lanes' float order moves that by a small part of lr
+        for a, b in zip(lanes.generator.parameters() + lanes.discriminator.parameters(),
+                        ref.generator.parameters() + ref.discriminator.parameters()):
+            np.testing.assert_allclose(a, b, rtol=0, atol=hyper.lr / 100)
+
+
+class LaneError(Exception):
+    pass
+
+
+class TestBlasPin:
+    def test_pinned_to_one_thread_during_training_and_restored(self, monkeypatch,
+                                                               blas_threads):
+        counts = set()
+        disc_pass = cge._disc_pass
+
+        def seen(*args, **kwargs):
+            counts.add(blas_threads())
+            return disc_pass(*args, **kwargs)
+
+        monkeypatch.setattr(cge, "_disc_pass", seen)
+        cge.train_cgan(small_dataset(64), cge.TrainConfig(epochs=1), seed=14)
+        assert counts == {1}
+        assert blas_threads() == 2
+
+    def test_restored_when_adam_raises(self, monkeypatch, blas_threads):
+        def fail(*args, **kwargs):
+            raise TrainingError("non-finite gradient at step 1")
+
+        monkeypatch.setattr(nn, "adam_step", fail)
+        with pytest.raises(TrainingError, match="non-finite gradient"):
+            cge.train_cgan(small_dataset(64), cge.TrainConfig(epochs=1), seed=14)
+        assert blas_threads() == 2
+
+    def test_lane_error_surfaces_as_itself_and_restores(self, monkeypatch,
+                                                        blas_threads):
+        disc_pass = cge._disc_pass
+        raised = []
+
+        def fail_off_main(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raised.append(LaneError("lane 1"))
+                raise raised[-1]
+            return disc_pass(*args, **kwargs)
+
+        monkeypatch.setattr(cge, "_disc_pass", fail_off_main)
+        with pytest.raises(LaneError) as info:
+            cge.train_cgan(small_dataset(64), cge.TrainConfig(epochs=1), seed=14)
+        assert info.value is raised[0]
+        assert blas_threads() == 2
 
 
 class TestPersistence:

@@ -641,6 +641,73 @@ class TestFailures:
                                         "in sweep message 1"]
 
 
+def failing(after: int = 0):
+    """A stage that passes its text through for ``after`` calls, then raises."""
+    calls = Counter()
+
+    def stage(text, *args):
+        calls["n"] += 1
+        if calls["n"] > after:
+            raise LamMscError("stage down")
+        return text
+
+    return stage
+
+
+class TestScoresCannotFlatter:
+    """A record whose text was not sent, not received or not scored is never
+    correct, whatever the threshold."""
+
+    def test_unsent_message_counts_zero(self):
+        cfg = pipeline.PipelineConfig(snr_db=[10.0], estimators=["perfect"],
+                                      lkb_enabled=False, threshold=-0.5)
+        report = pipeline.sweep(cfg, ["\ud800 not encodable"])
+        assert report.failures == {"10/perfect/transmit": 1}
+        assert [(row.accuracy, row.mean_cosine) for row in report.rows] == [(0.0, 0.0)]
+
+    # (stage index in the bound stages, failing stage, first error stage, sent)
+    @pytest.mark.parametrize("index, stage, first, correct", [
+        (None, None, None, True),
+        (0, failing(), "modal-transform", False),
+        (2, failing(), "personalize-extract", False),
+        (4, failing(), "scoring", False),
+        (1, failing(), "modal-recovery", True)],
+        ids=["clean", "caption", "extract", "reference-embed", "recovery-only"])
+    def test_record_correct_only_when_sent_received_and_scored(
+            self, profiles, scenes, index, stage, first, correct):
+        cfg = lossless_cfg(threshold=-0.5)
+        stages = list(pipeline._bind_stages(cfg, *profiles))
+        if index is not None:
+            stages[index] = stage
+        rec, = pipeline._run_message(scenes[0], cfg, stages, cfg.pilot_pattern(),
+                                     None, [(NO_NOISE, 1)], ["perfect"])
+        assert rec.error_stage == first
+        assert rec.cosine > cfg.threshold
+        assert rec.correct is correct
+
+    def test_later_errors_also_block_correct(self, monkeypatch, profiles, scenes):
+        """A first error at a harmless stage does not hide a later failed
+        transmit or a later failed scoring."""
+        cfg = lossless_cfg(threshold=-0.5)
+        caption, to_payload, extract, recover, embed = pipeline._bind_stages(
+            cfg, *profiles)
+        args = (cfg.pilot_pattern(), None, [(NO_NOISE, 1)], ["perfect"])
+
+        def down(*_):
+            raise LamMscError("draw down")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "_draw_channel", down)
+            rec, = pipeline._run_message(scenes[0], cfg, (
+                caption, to_payload, extract, failing(), embed), *args)
+        assert rec.error_stage == "reference" and not rec.frame_ser
+        assert rec.cosine > cfg.threshold and not rec.correct
+        rec, = pipeline._run_message(scenes[0], cfg, (
+            caption, failing(), extract, recover, failing(after=1)), *args)
+        assert rec.error_stage == "modal-recovery" and rec.frame_ser
+        assert rec.cosine == 0.0 and not rec.correct
+
+
 class TestAtomicWrites:
     """A writer that fails partway leaves the old file and no temporary file."""
 
