@@ -20,6 +20,7 @@ import functools
 import glob
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -202,33 +203,49 @@ def _openblas():
     return None
 
 
+_blas_lock = threading.Lock()
+_blas_pin = {"holders": 0, "saved": 0}  # trainings in flight; the count before them
+
+
+@contextlib.contextmanager
+def _blas_pinned(get, put):
+    """Pin OpenBLAS to 1 thread for the block. Overlapping blocks, in any
+    threads, share the pin: the first in saves the thread count and the last
+    out puts it back, also on an error."""
+    with _blas_lock:
+        if not _blas_pin["holders"]:
+            _blas_pin["saved"] = get()
+            put(1)
+        _blas_pin["holders"] += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_pin["holders"] -= 1
+            if not _blas_pin["holders"]:
+                put(_blas_pin["saved"])
+
+
 @contextlib.contextmanager
 def _lane_runner():
     """Yield ``run(fn, lanes)``, which returns ``[fn(*args) for args in
     lanes]`` for one or two lanes of arguments.
 
     Where numpy's OpenBLAS exposes its thread count, it is pinned to 1 thread
-    for the whole block, process-wide, and restored when the block ends,
-    also on an error; lane 0 runs on the calling thread and lane 1 on one
-    worker thread. Elsewhere the lanes run one after the other. A lane's
-    error surfaces as itself.
+    for the whole block, process-wide (``_blas_pinned``); lane 0 runs on the
+    calling thread and lane 1 on one worker thread. Elsewhere the lanes run
+    one after the other. A lane's error surfaces as itself.
     """
     blas = _openblas()
     if blas is None:
         yield lambda fn, lanes: [fn(*args) for args in lanes]
         return
-    get, put = blas
-    saved = get()
-    put(1)
-    try:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            def run(fn, lanes):
-                second = pool.submit(fn, *lanes[1]) if len(lanes) > 1 else None
-                return [fn(*lanes[0])] + ([second.result()] if second else [])
+    with _blas_pinned(*blas), ThreadPoolExecutor(max_workers=1) as pool:
+        def run(fn, lanes):
+            second = pool.submit(fn, *lanes[1]) if len(lanes) > 1 else None
+            return [fn(*lanes[0])] + ([second.result()] if second else [])
 
-            yield run
-    finally:
-        put(saved)
+        yield run
 
 
 def _lane_slices(n: int) -> list[slice]:

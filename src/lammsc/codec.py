@@ -70,8 +70,7 @@ def modulate(ts: TokenStream, repetition: int = 1) -> np.ndarray:
         raise ValueError(f"repetition must be >= 1, got {repetition}")
     bits = ((ts.tokens[:, None] >> _BIT_SHIFTS) & 1).reshape(-1, 2).astype(np.float32)
     symbols = ((1.0 - 2.0 * bits[:, 0]) + 1j * (1.0 - 2.0 * bits[:, 1])) / _SQRT2
-    if repetition > 1:
-        symbols = np.repeat(symbols, repetition)
+    symbols = np.repeat(symbols, repetition)
     return symbols.astype(np.complex64)
 
 

@@ -381,15 +381,12 @@ def bce_loss(pred: np.ndarray, target: np.ndarray) -> float:
     return float(-np.mean(t * np.log(p) + (1.0 - t) * np.log1p(-p)))
 
 
-def bce_grad(pred: np.ndarray, target: np.ndarray,
-             count: int | None = None) -> np.ndarray:
-    """Gradient of ``bce_loss`` as a mean over ``count`` predictions, by
-    default over ``pred`` alone; a lane of a larger batch passes the
-    batch's count."""
+def bce_grad(pred: np.ndarray, target: np.ndarray, count: int) -> np.ndarray:
+    """Gradient of ``bce_loss`` as a mean over ``count`` predictions:
+    ``pred.size`` for a whole batch, the batch's count for a lane of it."""
     pred, target = _same_shape(pred, target, "bce_grad")
     p = np.clip(pred, _BCE_EPS, 1.0 - _BCE_EPS)
-    size = pred.size if count is None else count
-    g = (-target / p + (1.0 - target) / (1.0 - p)) / size
+    g = (-target / p + (1.0 - target) / (1.0 - p)) / count
     g[(pred < _BCE_EPS) | (pred > 1.0 - _BCE_EPS)] = 0.0  # clamp is flat
     return g.astype(np.float32)
 
@@ -400,12 +397,11 @@ def l1_loss(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean(np.abs(a.astype(np.float64) - b.astype(np.float64))))
 
 
-def l1_grad(a: np.ndarray, b: np.ndarray, count: int | None = None) -> np.ndarray:
-    """Gradient of ``l1_loss`` as a mean over ``count`` elements, by default
-    over ``a`` alone, as in ``bce_grad``."""
+def l1_grad(a: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
+    """Gradient of ``l1_loss`` as a mean over ``count`` elements, as in
+    ``bce_grad``."""
     a, b = _same_shape(a, b, "l1_grad")
-    size = a.size if count is None else count
-    return (np.sign(a - b) / size).astype(np.float32)
+    return (np.sign(a - b) / count).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

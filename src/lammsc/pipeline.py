@@ -464,8 +464,9 @@ def run_pipeline(payload, cfg: PipelineConfig, sender: Profile, receiver: Profil
     cfg = replace(cfg, snr_db=cfg.snr_db[:1] if snr_db is None else [snr_db],
                   estimators=[estimator or cfg.arms()[0]])
     arms, stages, pattern, model = _setup(cfg, (sender, receiver))
-    return _run_message(payload, cfg, stages, pattern, model, [(
-        cfg.snr_db[0], cfg.master_seed if seed is None else seed)], arms)[0]
+    seed = cfg.master_seed if seed is None else seed
+    return _run_message(payload, cfg, stages, pattern, model,
+                        [(cfg.snr_db[0], seed)], arms)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ def reference_first_step(dataset, hyper, seed: int):
         z = disc.forward(np.concatenate([conds, x], 1), record=True)
         p = nn.activate("sigmoid", z.mean(axis=(1, 2, 3)))
         t = np.full(p.shape, target, np.float32)
-        ds = nn.bce_grad(p, t) * p * (1.0 - p)
+        ds = nn.bce_grad(p, t, p.size) * p * (1.0 - p)
         dz = np.broadcast_to((ds / z[0].size)[:, None, None, None], z.shape)
         return nn.bce_loss(p, t), disc.backward(
             np.ascontiguousarray(dz, dtype=np.float32), **skip)
@@ -151,8 +151,8 @@ def reference_first_step(dataset, hyper, seed: int):
                  d_state)
     lam = np.float32(hyper.lambda_l1)
     adv_loss, (dx, _) = disc_pass(fake, 1.0, param_grads=False)
-    _, g_grads = gen.backward(dx[:, cge.CONDITION_CHANNELS:]
-                              + lam * nn.l1_grad(fake, gains), input_grad=False)
+    dfake = dx[:, cge.CONDITION_CHANNELS:] + lam * nn.l1_grad(fake, gains, fake.size)
+    _, g_grads = gen.backward(dfake, input_grad=False)
     nn.adam_step(gen.parameters(), g_grads, g_state)
     return (model, loss_real + loss_fake,
             adv_loss + float(lam) * nn.l1_loss(fake, gains))

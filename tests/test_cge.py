@@ -311,6 +311,39 @@ class TestBlasPin:
         assert info.value is raised[0]
         assert blas_threads() == 2
 
+    def test_overlapping_trainings_restore_when_the_last_ends(self, blas_threads):
+        # training a starts first and ends while b still runs
+        data = small_dataset(64)
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen, errors = [], []
+
+        def a_epoch(epoch, history):
+            a_in.set()
+            assert b_in.wait(120)
+
+        def b_epoch(epoch, history):
+            b_in.set()
+            assert a_out.wait(120)
+            seen.append(blas_threads())
+
+        def train(on_epoch):
+            try:
+                cge.train_cgan(data, cge.TrainConfig(epochs=1), seed=14, on_epoch=on_epoch)
+            except BaseException as exc:
+                errors.append(exc)
+
+        a = threading.Thread(target=train, args=(a_epoch,))
+        b = threading.Thread(target=train, args=(b_epoch,))
+        a.start()
+        assert a_in.wait(120)
+        b.start()
+        a.join()
+        a_out.set()
+        b.join()
+        assert errors == []
+        assert seen == [1]  # still pinned for b after a ended
+        assert blas_threads() == 2
+
 
 class TestPersistence:
     def make_model(self):

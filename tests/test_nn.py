@@ -343,7 +343,7 @@ class TestBackward:
             return nn.l1_loss(net.forward(x), target)
 
         out = net.forward(x, record=True)
-        _, grads = net.backward(nn.l1_grad(out, target))
+        _, grads = net.backward(nn.l1_grad(out, target, out.size))
         check_grad(loss, grads[0], net.layers[0].weights, rng)
         check_grad(loss, grads[2], net.layers[1].weights, rng)
 
@@ -351,7 +351,7 @@ class TestBackward:
         rng = np.random.default_rng(16)
         pred = rng.uniform(0.2, 0.8, size=8).astype(np.float32)
         target = (rng.uniform(size=8) > 0.5).astype(np.float32)
-        grad = nn.bce_grad(pred, target)
+        grad = nn.bce_grad(pred, target, pred.size)
         for idx in (0, 3, 7):
             fd = fd_gradient(lambda: nn.bce_loss(pred, target), pred, idx, eps=1e-3)
             assert rel_err(float(grad[idx]), fd) < 1e-2
