@@ -99,14 +99,18 @@ def build_discriminator(rows: int, cols: int, seed: int) -> list[nn.LayerParams]
 
 
 def make_condition(y: np.ndarray, pattern: PilotPattern) -> np.ndarray:
-    """Stack [re/im of y at pilot cells, re/im of pilot symbols] as planes."""
+    """Stack [re/im of y at pilot cells, re/im of pilot symbols] as planes.
+
+    ``y`` is one grid or a (..., rows, cols) stack of them; the result is
+    (..., 4, rows, cols), each grid's planes the same as for that grid alone.
+    """
     y = np.asarray(y)
-    if y.shape != (pattern.rows, pattern.cols):
+    if y.shape[-2:] != (pattern.rows, pattern.cols):
         raise ShapeError(f"make_condition: grid {y.shape} vs pattern "
                          f"{pattern.rows}x{pattern.cols}")
-    masked = np.where(pattern.mask(), y, 0.0).astype(np.complex64)
-    return np.concatenate([gains_to_planes(masked),
-                           gains_to_planes(_pilot_frame(pattern))])
+    masked = gains_to_planes(np.where(pattern.mask(), y, 0.0).astype(np.complex64))
+    pilots = np.broadcast_to(gains_to_planes(_pilot_frame(pattern)), masked.shape)
+    return np.concatenate([masked, pilots], axis=-3)
 
 
 def _pilot_frame(pattern: PilotPattern) -> np.ndarray:
@@ -116,11 +120,13 @@ def _pilot_frame(pattern: PilotPattern) -> np.ndarray:
 
 
 def gains_to_planes(gains: np.ndarray) -> np.ndarray:
+    """(..., rows, cols) complex gains as (..., 2, rows, cols) float32 re/im
+    planes: the inverse of ``planes_to_gains``."""
     gains = np.asarray(gains)
-    out = np.empty((GAIN_CHANNELS,) + gains.shape, np.float32)
-    out[0] = gains.real
-    out[1] = gains.imag
-    return out
+    if gains.ndim < 2:
+        raise ShapeError(f"gains_to_planes: {gains.shape} is not a grid")
+    return np.concatenate([gains.real[..., None, :, :], gains.imag[..., None, :, :]],
+                          axis=-3).astype(np.float32, copy=False)
 
 
 def planes_to_gains(planes: np.ndarray) -> np.ndarray:
@@ -167,9 +173,8 @@ def _bce(scores, target: float) -> float:
 
 
 def _stack_batch(dataset, indices):
-    conds = np.stack([dataset[i][0] for i in indices])
-    gains = np.stack([gains_to_planes(dataset[i][1]) for i in indices])
-    return conds, gains
+    conds, gains = (np.stack(part) for part in zip(*(dataset[i] for i in indices)))
+    return conds, gains_to_planes(gains)
 
 
 def check_training_setup(hyper: TrainConfig, count: int, rows: int, cols: int) -> None:
@@ -375,8 +380,8 @@ def evaluate_nmse(model: CganModel, pairs) -> float:
     scores = []
     for start in range(0, len(pairs), size):
         chunk = pairs[start:start + size]
-        est = estimate(model, np.stack([cond for cond, _ in chunk]))
-        scores.extend(nmse(e, gains) for e, (_, gains) in zip(est, chunk))
+        conds, gains = (np.stack(part) for part in zip(*chunk))
+        scores.extend(nmse(estimate(model, conds), gains))
     return float(np.mean(scores))
 
 

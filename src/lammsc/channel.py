@@ -263,13 +263,8 @@ def load_channel_dataset(path) -> list[ChannelRealization]:
         raise FormatError(f"{path}: header lists {len(seeds)} seeds for {count} grids")
     if rows < 1 or cols < 1:
         raise FormatError(f"{path}: grid extents must be positive, got {rows}x{cols}")
-    grid_bytes = rows * cols * 8
-    if len(body) != count * grid_bytes:
-        raise FormatError(f"{path}: expected {count * grid_bytes} data bytes, "
+    if len(body) != count * rows * cols * 8:
+        raise FormatError(f"{path}: expected {count * rows * cols * 8} data bytes, "
                           f"found {len(body)}")
-    out = []
-    for i in range(count):
-        flat = np.frombuffer(body[i * grid_bytes:(i + 1) * grid_bytes], dtype="<c8")
-        out.append(ChannelRealization(flat.reshape(rows, cols).astype(np.complex64),
-                                      sigma_f, sigma_t, seeds[i]))
-    return out
+    grids = np.frombuffer(body, "<c8").reshape(count, rows, cols).astype(np.complex64)
+    return [ChannelRealization(g, sigma_f, sigma_t, s) for g, s in zip(grids, seeds)]

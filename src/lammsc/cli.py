@@ -83,6 +83,7 @@ def _cmd_gen_channels(args) -> int:
     pipeline.PipelineConfig(rows=args.rows, cols=args.cols, sigma_f=args.sigma_f,
                             sigma_t=args.sigma_t).validate()
     _check_count(args.count)
+    check_writable(args.out)
     rng_seeds = [pipeline.derive_seed(args.seed, i) for i in range(args.count)]
     grids = [channel.gen_channel(s, args.rows, args.cols, args.sigma_f,
                                  args.sigma_t) for s in rng_seeds]
@@ -131,14 +132,17 @@ def _cmd_eval_cge(args) -> int:
     cfg.model_path = _required_input(args, cfg, "model")
     model = pipeline._load_model(cfg.validate())
     pattern = cfg.pilot_pattern()
+    if args.out:
+        check_writable(args.out)
     lines = ["snr_db,cge_nmse,ls_nmse,n"]
     for snr in cfg.snr_db:
         pairs = cge.make_training_set(
             args.count, cfg.rows, cfg.cols, cfg.sigma_f, cfg.sigma_t, pattern, snr,
             seed=pipeline.derive_seed(args.seed, pipeline._snr_key(snr)))
+        conds, gains = (np.stack(part) for part in zip(*pairs))
         # LS reads only the pilot cells, which the condition planes keep
-        ls_nmse = np.mean([channel.nmse(channel.ls_estimate(
-            cge.planes_to_gains(cond), pattern), gains) for cond, gains in pairs])
+        ls_nmse = np.mean(channel.nmse(channel.ls_estimate(
+            cge.planes_to_gains(conds), pattern), gains))
         lines.append(f"{snr:.6g},{cge.evaluate_nmse(model, pairs):.6g},"
                      f"{ls_nmse:.6g},{args.count}")
     table = "\n".join(lines) + "\n"
@@ -187,6 +191,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args).validate()
+    if args.out:
+        check_writable(args.out)
     report = pipeline.sweep(cfg, _load_corpus(args, cfg))
     text = pipeline.format_report(report)
     if args.out:
@@ -201,11 +207,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_mock_serve(args) -> int:
-    server = MockServer(args.host, args.port)
+    if not 0 <= args.port <= 65535:
+        raise ConfigError(f"--port must be in 0..65535, got {args.port}")
+    try:
+        server = MockServer(args.host, args.port)
+    except OSError as exc:
+        raise LamMscError(f"cannot serve at {args.host}:{args.port}: {exc}") from exc
     print(f"mock endpoints at {server.url} (/transform /personalize /embed)")
     try:
         server.serve_forever()
     except KeyboardInterrupt:
+        pass
+    finally:
         server.stop()
     return 0
 

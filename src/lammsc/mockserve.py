@@ -144,10 +144,11 @@ class MockServer(ThreadingHTTPServer):
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
-        super().__init__((host, port), _Handler)
+        # set first: a failed bind calls server_close from inside __init__
         self._lock = threading.Lock()
         self._open: set[socket.socket] = set()
         self._thread: threading.Thread | None = None
+        super().__init__((host, port), _Handler)
 
     @property
     def url(self) -> str:
@@ -160,10 +161,10 @@ class MockServer(ThreadingHTTPServer):
         return self
 
     def stop(self):
-        self.shutdown()
-        self.server_close()
-        if self._thread:
+        if self._thread:  # shutdown() waits for a serve loop, so only a started one
+            self.shutdown()
             self._thread.join(timeout=5)
+        self.server_close()
 
     def process_request(self, request, client_address):
         with self._lock:

@@ -353,13 +353,6 @@ def _draw_channel(cfg: PipelineConfig, frames, snr_db: float, seed: int):
         for i, (frame, h) in enumerate(zip(frames, gains))])
 
 
-def _cge_batch(model, pattern, ys) -> np.ndarray:
-    """CGE gains for every grid of a (..., rows, cols) stack, from one
-    ``cge.estimate`` batch."""
-    conditions = [cge.make_condition(y, pattern) for y in ys.reshape(-1, *ys.shape[-2:])]
-    return cge.estimate(model, np.stack(conditions)).reshape(ys.shape)
-
-
 def _receive(cfg: PipelineConfig, frames, stack, snrs, truth, ys, estimates) -> None:
     """The stacked pass: equalize, extract, score and decode every (draw, arm)
     record of ``stack`` at once, and store the results on the records.
@@ -426,7 +419,8 @@ def _run_message(payload, cfg: PipelineConfig, stages, pattern, model, draws,
         truth, ys = (np.stack(grids) for grids in zip(*filter(None, channels)))
         gains = {"perfect": lambda: truth, "none": lambda: np.ones_like(truth),
                  "ls": partial(ls_estimate, ys, pattern),
-                 "cge": partial(_cge_batch, model, pattern, ys)}
+                 "cge": lambda: cge.estimate(model, cge.make_condition(
+                     ys.reshape(-1, cfg.rows, cfg.cols), pattern)).reshape(ys.shape)}
         estimates = [_attempt(column[0], "transmit", gains[arm], None, sharing=column[1:])
                      for arm, column in zip(arms, zip(*reached))]
         kept = [a for a, est in enumerate(estimates) if est is not None]

@@ -98,10 +98,30 @@ class TestCondition:
                            pat.symbols.ravel())
         assert np.all(cond[2][~mask] == 0) and np.all(cond[3][~mask] == 0)
 
+    def test_stack_matches_each_grid_alone(self):
+        pat = small_pattern()
+        rng = np.random.default_rng(11)
+        for lead in [(), (5,), (2, 3)]:
+            ys = (rng.standard_normal(lead + (16, 16))
+                  + 1j * rng.standard_normal(lead + (16, 16))).astype(np.complex64)
+            conds, planes = cge.make_condition(ys, pat), cge.gains_to_planes(ys)
+            assert conds.shape == lead + (4, 16, 16) and conds.dtype == np.float32
+            assert planes.shape == lead + (2, 16, 16) and planes.dtype == np.float32
+            for idx in np.ndindex(lead):
+                assert conds[idx].tobytes() == cge.make_condition(ys[idx], pat).tobytes()
+                assert planes[idx].tobytes() == cge.gains_to_planes(ys[idx]).tobytes()
+            assert np.array_equal(cge.planes_to_gains(planes), ys)
+
     def test_extent_mismatch_rejected(self):
         pat = channel.make_pilot_pattern(32, 32, 4, 4, seed=7)
+        for shape in [(16, 16), (), (32,), (3, 16, 32), (2, 32, 33)]:
+            with pytest.raises(ShapeError):
+                cge.make_condition(np.zeros(shape, np.complex64), pat)
+
+    @pytest.mark.parametrize("shape", [(), (16,)])
+    def test_planes_need_a_grid(self, shape):
         with pytest.raises(ShapeError):
-            cge.make_condition(np.zeros((16, 16), np.complex64), pat)
+            cge.gains_to_planes(np.zeros(shape, np.complex64))
 
 
 class TestEstimate:

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import socket
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from lammsc import channel, cge, cli, corpus, fileio, pipeline
 from lammsc.errors import LamMscError
+from lammsc.mockserve import MockServer
 
 from test_fileio import DECODE_FAULTS
 
@@ -65,6 +68,13 @@ def corpus_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("corpus") / "scenes.jsonl"
     corpus.save_corpus(path, corpus.synthetic_corpus(6, seed=21))
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def taken_port():
+    """A local port that another socket listens on."""
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        yield sock.getsockname()[1]
 
 
 class TestGenChannels:
@@ -312,10 +322,13 @@ class TestSetupErrors:
         assert list(tmp_path.iterdir()) == []
 
 
-def setup_argvs(model16: str, channels16: str, out: str):
-    """A gen-channels, train-cge or eval-cge command line with up to 6 of its
-    set-up flags, each ``--flag=value`` with a value its parser accepts; a
-    drawn flag overrides a required one (eval-cge starts on the model's grid).
+def setup_argvs(model16: str, channels16: str, out: str, taken_port: int):
+    """A gen-channels, train-cge, eval-cge or mock-serve command line with up
+    to 6 of its set-up flags, each ``--flag=value`` with a value its parser
+    accepts; a drawn flag overrides a required one (eval-cge starts on the
+    model's grid). ``--out`` is a writable path in ``out``, a path in a
+    missing directory or the existing directory ``out/dir``; ``--port`` is
+    out of range, ``taken_port`` or 0 (a free port the system picks).
 
     Extents, counts and spacings come from small ranges: a valid 10^6 x 10^6
     grid would allocate its pilot lattice before any check could reject it,
@@ -329,10 +342,11 @@ def setup_argvs(model16: str, channels16: str, out: str):
     config = {**grid, "--snr-db": st.lists(real, max_size=3).map(",".join),
               "--pilot-df": small, "--pilot-dt": small, "--repetition": small,
               "--estimator": st.sampled_from(pipeline.ESTIMATORS + ("x",))}
+    outs = st.sampled_from([f"{out}/o.bin", f"{out}/missing/o.bin", f"{out}/dir"])
     commands = {
-        "gen-channels": ({"--out": st.just(f"{out}/c.lmch")},
+        "gen-channels": ({"--out": outs},
                          {**grid, "--count": small, "--seed": st.integers().map(str)}),
-        "train-cge": ({"--out": st.just(f"{out}/m.cge")},
+        "train-cge": ({"--out": outs},
                       {**config, "--pairs": st.integers(-1, 300).map(str),
                        "--epochs": small, "--batch": st.integers(-1, 80).map(str),
                        "--seed": st.integers().map(str),
@@ -340,7 +354,9 @@ def setup_argvs(model16: str, channels16: str, out: str):
                        "--channels": st.sampled_from([channels16, f"{out}/no.lmch"])}),
         "eval-cge": ({"--model": st.sampled_from([model16, f"{out}/no.cge"]),
                       "--rows": st.just("16"), "--cols": st.just("16")},
-                     {**config, "--count": small}),
+                     {**config, "--count": small, "--out": outs}),
+        "mock-serve": ({"--port": st.sampled_from(["-1", "65536", str(taken_port), "0"])},
+                       {"--host": st.just("127.0.0.1")}),
     }
 
     def argv(command):
@@ -358,34 +374,46 @@ class TestSetupSpace:
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.function_scoped_fixture])
     def test_every_setup_ends_typed(self, data, capsys, tmp_path, monkeypatch,
-                                    tiny_model_path, channels16_path):
-        """Any drawn set-up of the three dataset and model commands exits 0,
-        or with 'config error:' or 'error:', never 'unexpected error'; the
-        work functions are patched to fail with a typed error once reached."""
+                                    tiny_model_path, channels16_path, taken_port):
+        """Any drawn set-up of the three dataset and model commands and of
+        mock-serve exits 0, or with 'config error:' or 'error:', never
+        'unexpected error'; the work functions are patched to fail with a
+        typed error once reached, and an unwritable --out never reaches them."""
         def heavy(*args, **kwargs):
             raise LamMscError("work reached")
 
         for owner, name in ((cge, "make_training_set"), (cge, "pairs_from_realizations"),
-                            (cge, "train_cgan"), (channel, "gen_channel")):
+                            (cge, "train_cgan"), (channel, "gen_channel"),
+                            (MockServer, "serve_forever")):
             monkeypatch.setattr(owner, name, heavy)
-        argv = data.draw(setup_argvs(tiny_model_path, channels16_path, str(tmp_path)))
+        (tmp_path / "dir").mkdir(exist_ok=True)
+        argv = data.draw(setup_argvs(tiny_model_path, channels16_path, str(tmp_path),
+                                     taken_port))
         code, _, stderr = run_cli(capsys, *argv)
         assert ((code, stderr) == (0, "") or (code, stderr[:14]) == (1, "config error: ")
                 or (code, stderr[:7]) == (2, "error: ")), (argv, stderr)
-        assert list(tmp_path.iterdir()) == []
+        unwritable = {f"--out={tmp_path}/missing/o.bin", f"--out={tmp_path}/dir"}
+        assert not (unwritable & set(argv) and "work reached" in stderr), (argv, stderr)
+        assert list(tmp_path.iterdir()) == [tmp_path / "dir"]
+        assert list((tmp_path / "dir").iterdir()) == []
 
 
 class TestUnwritableOut:
     """Every writer fails as 'error: cannot write' and leaves no file."""
 
     GRID = ["--rows", "16", "--cols", "16", "--sigma-f", "2", "--sigma-t", "2"]
-
-    @pytest.mark.parametrize("argv", [
+    WRITERS = [
         ["gen-channels", "--count", "2", *GRID],
         ["train-cge", "--pairs", "64", "--epochs", "1", *GRID],
         ["eval-cge", "--model", "{model16}", "--count", "2", *GRID],
         ["sweep", "--corpus", "{corpus}", "--snr-db", "10", "--estimators", "ls"],
-    ], ids=lambda argv: argv[0])
+    ]
+    # the first call of each writer's work
+    WORK = {"gen-channels": (channel, "gen_channel"),
+            "train-cge": (cge, "make_training_set"),
+            "eval-cge": (cge, "make_training_set"), "sweep": (pipeline, "sweep")}
+
+    @pytest.mark.parametrize("argv", WRITERS, ids=lambda argv: argv[0])
     def test_cannot_write(self, capsys, tmp_path, tiny_model_path, corpus_path,
                           argv):
         out = tmp_path / "missing" / "out"
@@ -396,14 +424,16 @@ class TestUnwritableOut:
         assert stderr.startswith(f"error: cannot write {out}: "), stderr
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("out", ["missing/m.cge", "taken"])
-    def test_train_cge_fails_before_any_pair(self, capsys, tmp_path, monkeypatch,
-                                             out):
-        monkeypatch.setattr(cge, "make_training_set", None)  # would raise
-        (tmp_path / "taken").mkdir()  # a directory is no model file
+    @pytest.mark.parametrize("out", ["missing/out", "taken"])
+    @pytest.mark.parametrize("argv", WRITERS, ids=lambda argv: argv[0])
+    def test_fails_before_any_work(self, capsys, tmp_path, monkeypatch,
+                                   tiny_model_path, corpus_path, argv, out):
+        monkeypatch.setattr(*self.WORK[argv[0]], None)  # would raise
+        (tmp_path / "taken").mkdir()  # a directory is no output file
         out = tmp_path / out
-        code, _, stderr = run_cli(capsys, "train-cge", "--pairs", "64", "--epochs",
-                                  "1", *self.GRID, "--out", str(out))
+        code, _, stderr = run_cli(capsys, *[
+            a.format(model16=tiny_model_path, corpus=corpus_path) for a in argv],
+            "--out", str(out))
         assert code == 2
         assert stderr.startswith(f"error: cannot write {out}: "), stderr
         assert list(tmp_path.iterdir()) == [tmp_path / "taken"]
@@ -417,6 +447,37 @@ class TestUnwritableOut:
         fileio.check_writable(target)
         assert list(tmp_path.iterdir()) == [target]
         assert target.read_bytes() == b"old"
+
+
+class TestMockServe:
+    @pytest.mark.parametrize("port", ["-1", "65536", "99999"])
+    def test_port_out_of_range_is_config_error(self, capsys, port):
+        code, stdout, stderr = run_cli(capsys, "mock-serve", "--port", port)
+        assert code == 1
+        assert stderr.startswith(f"config error: --port must be in 0..65535, got {port}")
+        assert stdout == ""
+
+    def test_taken_port_is_error(self, capsys, taken_port):
+        code, stdout, stderr = run_cli(capsys, "mock-serve", "--port", str(taken_port))
+        assert code == 2
+        assert stderr.startswith(f"error: cannot serve at 127.0.0.1:{taken_port}: "), stderr
+        assert stdout == ""
+
+    def test_interrupt_closes_the_server(self, monkeypatch):
+        served, codes = [], []
+
+        def interrupted(server):
+            served.append(server)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(MockServer, "serve_forever", interrupted)
+        # in a thread: closing a server whose loop never ran could block
+        worker = threading.Thread(target=lambda: codes.append(
+            cli.main(["mock-serve", "--port", "0"])), daemon=True)
+        worker.start()
+        worker.join(timeout=5)
+        assert codes == [0]
+        assert served[0].socket.fileno() == -1
 
 
 class TestEvalCount:

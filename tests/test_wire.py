@@ -261,6 +261,21 @@ class TestKeepAlive:
         assert statistics.median(times) < 0.020
 
 
+class TestServerLifecycle:
+    def test_failed_bind_raises_its_os_error(self):
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            with pytest.raises(OSError, match="in use"):
+                MockServer("127.0.0.1", taken.getsockname()[1])
+
+    def test_stop_without_start_returns(self):
+        srv = MockServer()
+        worker = threading.Thread(target=srv.stop, daemon=True)
+        worker.start()
+        worker.join(timeout=5)
+        assert not worker.is_alive()
+        assert srv.socket.fileno() == -1
+
+
 class TestPersonalizeContract:
     def test_echo_returns_user_text(self, endpoint):
         profile = lkb.default_prompt_base().get("Mike")
