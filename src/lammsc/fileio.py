@@ -39,6 +39,8 @@ def _temp_beside(path, mode: str, **kwargs):
     body moved it away, and an ``OSError`` is re-raised as ``LamMscError``."""
     tmp = f"{os.fspath(path)}.{secrets.token_hex(8)}.tmp"
     try:
+        if not os.fspath(path):  # else the temporary file lands in the cwd
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), "")
         with open(tmp, "x" + mode[1:], **kwargs) as fh:
             yield tmp, fh
     except OSError as exc:

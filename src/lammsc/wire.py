@@ -3,16 +3,26 @@
 All services speak JSON over POST and carry the protocol version in the
 ``X-Protocol-Version`` header. Failures map to a three-way taxonomy:
 transport (unreachable/timeout), protocol (malformed message), and remote
-(the service reported an error). A reply body is decoded once, by
-``fileio.json_object``.
+(the service reported an error, or answered anything but 200; a redirect is
+not followed). A reply body is decoded once, by ``fileio.json_object``.
 
-Each thread keeps one keep-alive ``requests.Session``, shared by every
-``Endpoint`` it calls, so a run opens one connection per server and thread,
-not one per call.
+Each thread keeps one keep-alive ``http.client`` connection per (scheme,
+host), shared by every ``Endpoint`` it calls, so a run opens one connection
+per server and thread, not one per call; at most ``MAX_HOSTS`` stay open per
+thread, and they close when the thread ends. The proxy, CA bundle and netrc
+credentials are read from the environment as ``requests`` reads them, once
+when a connection opens: a variable changed mid-run applies to new
+connections only. ``requests`` is used for nothing else; the import stays
+while ``perfbench``'s tracer patches ``wire.requests.post``.
 """
 
 from __future__ import annotations
 
+import base64
+import http.client
+import json
+import os
+import ssl
 import threading
 from dataclasses import dataclass
 from urllib.parse import urlsplit
@@ -24,6 +34,7 @@ from .fileio import json_object
 
 PROTOCOL_VERSION = "lam-msc/1"
 VERSION_HEADER = "X-Protocol-Version"
+MAX_HOSTS = 10  # connections a thread keeps open, as urllib3's pool manager
 
 _local = threading.local()
 
@@ -43,49 +54,123 @@ class Endpoint:
             raise ValueError(f"retries must be non-negative, got {self.retries}")
 
 
-def _session() -> tuple[requests.Session, set[str]]:
-    """This thread's session, and the hosts whose last reply left a pooled
-    connection open."""
-    if not hasattr(_local, "session"):
-        _local.session, _local.kept = requests.Session(), set()
-    return _local.session, _local.kept
+def _basic_auth(user: str, password: str) -> str:
+    return "Basic " + base64.b64encode(
+        f"{user}:{password}".encode("latin1")).decode("ascii")
+
+
+@dataclass
+class _Route:
+    """One open connection, and what each request on it sends."""
+
+    conn: http.client.HTTPConnection
+    prefix: str  # "http://host:port" through an HTTP proxy, else ""
+    headers: dict
+
+
+def _open(url: str) -> _Route:
+    """A new connection for ``url``'s scheme and host, with the proxy, CA
+    bundle and credentials the environment gives it now."""
+    parts = urlsplit(url)
+    hostport = parts.netloc.rpartition("@")[2]
+    if parts.scheme not in ("http", "https"):
+        raise http.client.InvalidURL(f"unsupported scheme {parts.scheme!r}")
+    utils = requests.utils
+    headers = {"Content-Type": "application/json",
+               VERSION_HEADER: PROTOCOL_VERSION}
+    auth = utils.get_netrc_auth(url) or utils.get_auth_from_url(url)
+    if any(auth):
+        headers["Authorization"] = _basic_auth(*auth)
+    proxy = utils.select_proxy(url, utils.get_environ_proxies(url))
+    via, proxy_headers = hostport, {}
+    if proxy:
+        proxy = utils.prepend_scheme_if_needed(proxy, "http")
+        pparts = urlsplit(proxy)
+        if pparts.scheme != "http" or not pparts.hostname:
+            raise http.client.InvalidURL(f"unsupported proxy {proxy!r}")
+        via = pparts.netloc.rpartition("@")[2]
+        user, password = utils.get_auth_from_url(proxy)
+        if user:
+            proxy_headers["Proxy-Authorization"] = _basic_auth(user, password)
+    if parts.scheme == "http":
+        headers.update(proxy_headers)
+        return _Route(http.client.HTTPConnection(via),
+                      f"http://{hostport}" if proxy else "", headers)
+    ca = (os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+          or requests.certs.where())
+    context = ssl.create_default_context(
+        **{"capath" if os.path.isdir(ca) else "cafile": ca})
+    conn = http.client.HTTPSConnection(via, context=context)
+    if proxy:
+        conn.set_tunnel(hostport, headers=proxy_headers)
+    return _Route(conn, "", headers)
+
+
+class _Routes(dict):
+    """One thread's connections by (scheme, host), least recently used first;
+    they close when the thread ends and its ``_local`` state is freed."""
+
+    def __del__(self):
+        for route in self.values():
+            route.conn.close()
+
+
+def _routes() -> _Routes:
+    routes = getattr(_local, "routes", None)
+    if routes is None:
+        routes = _local.routes = _Routes()
+    return routes
 
 
 def post_json(ep: Endpoint, path: str, body: dict) -> dict:
     """POST a JSON body; returns the parsed 200 response or raises typed errors.
 
     A server may close a kept-alive connection just as the next request goes
-    out on it. A connection error on such a reused connection is resent once
-    on a new connection without using up an attempt; every route is a pure
-    function of its body, so the resend is safe.
+    out on it. A failure other than a timeout on such a reused connection is
+    resent once on a new connection without using up an attempt; every route
+    is a pure function of its body, so the resend is safe.
     """
     url = ep.base_url.rstrip("/") + path
-    host = urlsplit(url).netloc
-    session, kept = _session()
+    parts = urlsplit(url)
+    key = (parts.scheme, parts.netloc)
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    blob = json.dumps(body, allow_nan=False).encode("utf-8")
+    timeout = ep.timeout_ms / 1000.0
+    routes = _routes()
     last_exc: Exception | None = None
     attempts = 0
     while attempts <= ep.retries:
-        reused = host in kept
-        kept.discard(host)
+        route = routes.pop(key, None)
+        reused = route is not None and route.conn.sock is not None
         try:
-            resp = session.post(url, json=body, timeout=ep.timeout_ms / 1000.0,
-                                headers={VERSION_HEADER: PROTOCOL_VERSION})
-        except requests.RequestException as exc:
+            if not reused:  # a new connection reads the environment anew
+                route = _open(url)
+            routes[key] = route  # most recently used last
+            if len(routes) > MAX_HOSTS:
+                routes.pop(next(iter(routes))).conn.close()
+            conn = route.conn
+            if conn.timeout != timeout:
+                conn.timeout = timeout
+                if conn.sock is not None:
+                    conn.sock.settimeout(timeout)
+            conn.request("POST", route.prefix + target, blob, route.headers)
+            resp = conn.getresponse()
+            data = resp.read()  # a reply with will_close has closed conn
+        except (OSError, http.client.HTTPException) as exc:
+            if route is not None:
+                route.conn.close()
             last_exc = exc
-            attempts += not (reused and isinstance(exc, requests.ConnectionError))
+            attempts += not (reused and not isinstance(exc, TimeoutError))
             continue
-        if (resp.raw.version == 11
-                and "close" not in resp.headers.get("Connection", "").lower()):
-            kept.add(host)
-        if resp.status_code != 200:
+        if resp.status != 200:
             try:
-                reply = json_object(resp.content, url)
+                reply = json_object(data, url)
                 detail = str(reply.get("message") or reply.get("error") or "")
             except ValueError:
-                detail = resp.text[:200]
-            raise RemoteServiceError(f"{url}: status {resp.status_code}: {detail}")
+                detail = data.decode("utf-8", "replace")[:200]
+            raise RemoteServiceError(f"{url}: status {resp.status}: {detail}")
         try:
-            return json_object(resp.content, f"{url}: response")
+            return json_object(data, f"{url}: response")
         except ValueError as exc:
             raise ProtocolError(str(exc)) from exc
     raise TransportError(f"{url}: unreachable after {ep.retries + 1} attempts "

@@ -424,13 +424,18 @@ class TestUnwritableOut:
         assert stderr.startswith(f"error: cannot write {out}: "), stderr
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("out", ["missing/out", "taken"])
-    @pytest.mark.parametrize("argv", WRITERS, ids=lambda argv: argv[0])
+    # an empty --out is no output file where --out is required; eval-cge and
+    # sweep read it as none
+    @pytest.mark.parametrize("argv, out", [
+        *(pytest.param(argv, out, id=f"{argv[0]}-{out}")
+          for argv in WRITERS for out in ("missing/out", "taken")),
+        *(pytest.param(argv, "", id=f"{argv[0]}-empty") for argv in WRITERS[:2])])
     def test_fails_before_any_work(self, capsys, tmp_path, monkeypatch,
                                    tiny_model_path, corpus_path, argv, out):
         monkeypatch.setattr(*self.WORK[argv[0]], None)  # would raise
         (tmp_path / "taken").mkdir()  # a directory is no output file
-        out = tmp_path / out
+        monkeypatch.chdir(tmp_path)  # where a temporary file for "" would go
+        out = tmp_path / out if out else out
         code, _, stderr = run_cli(capsys, *[
             a.format(model16=tiny_model_path, corpus=corpus_path) for a in argv],
             "--out", str(out))

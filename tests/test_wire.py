@@ -1,10 +1,13 @@
 import base64
+import gc
+import http.client
 import json
 import socket
 import statistics
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
@@ -16,7 +19,7 @@ import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lammsc import corpus, lkb, mma, pipeline, semeval
+from lammsc import corpus, lkb, mma, pipeline, semeval, wire
 from lammsc.errors import ProtocolError, RemoteServiceError, TransportError
 from lammsc.mockserve import MockServer
 from lammsc.wire import PROTOCOL_VERSION, VERSION_HEADER, Endpoint, post_json
@@ -66,7 +69,7 @@ class _RawHandler(BaseHTTPRequestHandler):
     """Answers every POST with a fixed status and raw body bytes (for replies
     that are not JSON objects)."""
 
-    status, body = 200, b""
+    status, body, location = 200, b"", None
 
     def log_message(self, *args):
         pass
@@ -74,6 +77,8 @@ class _RawHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         self.rfile.read(int(self.headers["Content-Length"]))
         self.send_response(self.status)
+        if self.location:
+            self.send_header("Location", self.location)
         self.send_header("Content-Length", str(len(self.body)))
         self.end_headers()
         self.wfile.write(self.body)
@@ -120,9 +125,9 @@ class TestTransformContract:
 
         def refuse(*args, **kwargs):
             calls.append(1)
-            raise requests.ConnectionError("refused")
+            raise ConnectionRefusedError("refused")
 
-        monkeypatch.setattr(requests.Session, "post", refuse)
+        monkeypatch.setattr(http.client.HTTPConnection, "connect", refuse)
         ep = Endpoint("http://127.0.0.1:1", timeout_ms=100, retries=2)
         with pytest.raises(TransportError, match="3 attempts"):
             mma.transform_remote(GARDEN_CAPTION, "image", ep)
@@ -190,15 +195,7 @@ class TestKeepAlive:
         sys.setswitchinterval(1e-5)
         try:
             with MockServer() as srv:
-                accepted = []
-                get_request = srv.get_request
-
-                def counting_get_request():
-                    conn = get_request()
-                    accepted.append(conn[1])
-                    return conn
-
-                srv.get_request = counting_get_request
+                accepted = counting_accepts(srv)
                 with ThreadPoolExecutor(threads) as pool:
                     list(pool.map(client, range(threads), timeout=60))
         finally:
@@ -261,6 +258,196 @@ class TestKeepAlive:
         assert statistics.median(times) < 0.020
 
 
+class _Recorder:
+    """A raw-socket server that records each request's bytes. It answers a
+    CONNECT with 502, as a proxy that cannot reach the host does, and any
+    other request with a 200 JSON reply; then it closes the connection."""
+
+    REPLY = b'{"text": "recorded"}'
+
+    def __init__(self):
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.url = f"http://127.0.0.1:{self.sock.getsockname()[1]}"
+        self.requests: list[bytes] = []
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self.sock.accept()
+            except OSError:  # closed
+                return
+            with conn:
+                raw = b""
+                while b"\r\n\r\n" not in raw and (chunk := conn.recv(65536)):
+                    raw += chunk
+                head = raw.partition(b"\r\n\r\n")[0].decode("latin1").lower()
+                length = int(next((line.split(":")[1] for line in head.split("\r\n")
+                                   if line.startswith("content-length:")), 0))
+                while len(raw.partition(b"\r\n\r\n")[2]) < length:
+                    raw += conn.recv(65536)
+                self.requests.append(raw)
+                if raw.startswith(b"CONNECT "):
+                    conn.sendall(b"HTTP/1.1 502 Bad Gateway\r\n"
+                                 b"Content-Length: 0\r\nConnection: close\r\n\r\n")
+                else:
+                    conn.sendall(b"HTTP/1.1 200 OK\r\nConnection: close\r\n"
+                                 b"Content-Length: %d\r\n\r\n%s"
+                                 % (len(self.REPLY), self.REPLY))
+
+    def close(self):
+        self.sock.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
+        self.sock.close()
+        self.thread.join(timeout=5)
+
+
+@pytest.fixture()
+def recorder():
+    rec = _Recorder()
+    yield rec
+    rec.close()
+
+
+@pytest.fixture()
+def clean_env(monkeypatch):
+    """No proxy or CA bundle from the environment the tests run in."""
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy",
+                 "requests_ca_bundle", "curl_ca_bundle"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    return monkeypatch
+
+
+def on_new_thread(fn, *args):
+    """Run ``fn`` on a thread of its own, so it opens its own connections."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn, *args).result(timeout=60)
+
+
+def counting_accepts(srv) -> list:
+    accepted = []
+    get_request = srv.get_request
+
+    def counting_get_request():
+        conn = get_request()
+        accepted.append(conn[1])
+        return conn
+
+    srv.get_request = counting_get_request
+    return accepted
+
+
+class TestTransport:
+    """What goes on the wire, and the environment read once per connection."""
+
+    def test_request_bytes_pinned(self, recorder, clean_env):
+        reply = on_new_thread(post_json, Endpoint(recorder.url + "/"), "/embed",
+                              {"text": "caf\u00e9 \u2603", "n": [1, 2.5]})
+        assert reply == {"text": "recorded"}
+        (raw,) = recorder.requests
+        head, _, body = raw.partition(b"\r\n\r\n")
+        lines = head.decode("latin1").split("\r\n")
+        assert lines[0] == "POST /embed HTTP/1.1"
+        headers = dict(line.split(": ", 1) for line in lines[1:])
+        assert headers["Content-Type"] == "application/json"
+        assert headers[VERSION_HEADER] == PROTOCOL_VERSION
+        assert body == b'{"text": "caf\\u00e9 \\u2603", "n": [1, 2.5]}'
+        assert headers["Content-Length"] == str(len(body))
+
+    def test_http_proxy_gets_the_absolute_url(self, recorder, clean_env):
+        host = recorder.url.removeprefix("http://")
+        clean_env.setenv("HTTP_PROXY", f"http://user:pw@{host}")
+        reply = on_new_thread(post_json, Endpoint("http://lammsc.invalid:8080"),
+                              "/embed", {"text": "hi"})
+        assert reply == {"text": "recorded"}
+        (raw,) = recorder.requests
+        lines = raw.partition(b"\r\n\r\n")[0].decode("latin1").split("\r\n")
+        assert lines[0] == "POST http://lammsc.invalid:8080/embed HTTP/1.1"
+        assert "Host: lammsc.invalid:8080" in lines
+        assert f"Proxy-Authorization: Basic {base64.b64encode(b'user:pw').decode()}" \
+            in lines
+
+    def test_https_proxy_gets_a_tunnel(self, recorder, clean_env):
+        clean_env.setenv("HTTPS_PROXY", recorder.url)
+        ep = Endpoint("https://lammsc.invalid:8443", timeout_ms=2000, retries=0)
+        with pytest.raises(TransportError, match="Tunnel connection failed: 502"):
+            on_new_thread(post_json, ep, "/embed", {"text": "hi"})
+        (raw,) = recorder.requests
+        assert raw.startswith(b"CONNECT lammsc.invalid:8443 HTTP/1.")
+
+    def test_no_proxy_bypasses_the_proxy(self, recorder, server, clean_env):
+        clean_env.setenv("HTTP_PROXY", recorder.url)
+        clean_env.setenv("NO_PROXY", "127.0.0.1")
+        body = {"prompt": "task\nText:\ndirect"}
+        assert on_new_thread(post_json, Endpoint(server.url), "/personalize",
+                             body) == {"text": "direct"}
+        assert recorder.requests == []
+
+    def test_environment_read_once_per_connection(self, server, clean_env):
+        scans = []
+        should_bypass = requests.utils.should_bypass_proxies
+
+        def counting(*args, **kwargs):
+            scans.append(args[0])
+            return should_bypass(*args, **kwargs)
+
+        clean_env.setattr(requests.utils, "should_bypass_proxies", counting)
+
+        def ten_posts():
+            for i in range(10):
+                post_json(Endpoint(server.url), "/embed", {"text": f"call {i}"})
+
+        on_new_thread(ten_posts)
+        assert len(scans) == 1
+
+    @pytest.mark.parametrize("env, want", [
+        ({"REQUESTS_CA_BUNDLE": "requests.pem", "CURL_CA_BUNDLE": "curl.pem"},
+         "requests.pem"),
+        ({"CURL_CA_BUNDLE": "curl.pem"}, "curl.pem"),
+        ({}, None)], ids=["requests", "curl", "default"])
+    def test_tls_context_uses_the_ca_bundle(self, clean_env, tmp_path, env, want):
+        for name, file in env.items():
+            (tmp_path / file).write_text("")
+            clean_env.setenv(name, str(tmp_path / file))
+        seen = []
+        create = wire.ssl.create_default_context
+
+        def recording(**kwargs):
+            seen.append(kwargs)
+            return create()
+
+        clean_env.setattr(wire.ssl, "create_default_context", recording)
+        with pytest.raises(TransportError):  # nothing listens on port 1
+            on_new_thread(post_json, Endpoint("https://127.0.0.1:1", retries=0),
+                          "/embed", {"text": "hi"})
+        assert seen == [{"cafile": str(tmp_path / want) if want
+                         else requests.certs.where()}]
+
+    def test_connections_close_when_their_thread_ends(self, server):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            on_new_thread(post_json, Endpoint(server.url), "/embed", {"text": "x"})
+            gc.collect()
+        assert [w for w in caught if w.category is ResourceWarning] == []
+
+    def test_least_recently_used_connection_closed(self):
+        with MockServer() as srv:
+            accepted = counting_accepts(srv)
+            hosts = [srv.url.replace("://", f"://u{i}@")
+                     for i in range(wire.MAX_HOSTS + 1)]
+
+            def calls(order):
+                for i in order:
+                    post_json(Endpoint(hosts[i]), "/embed", {"text": "x"})
+                return len(wire._local.routes)
+
+            # host 0 was evicted by the last host, which is still open
+            kept = on_new_thread(calls, [*range(len(hosts)), len(hosts) - 1, 0])
+        assert kept == wire.MAX_HOSTS
+        assert len(accepted) == len(hosts) + 1
+
+
 class TestServerLifecycle:
     def test_failed_bind_raises_its_os_error(self):
         with socket.create_server(("127.0.0.1", 0)) as taken:
@@ -298,9 +485,9 @@ class TestPersonalizeContract:
 
     def test_timeout_is_transport_error(self, monkeypatch):
         def slow(*args, **kwargs):
-            raise requests.Timeout("too slow")
+            raise TimeoutError("too slow")
 
-        monkeypatch.setattr(requests.Session, "post", slow)
+        monkeypatch.setattr(http.client.HTTPConnection, "connect", slow)
         profile = lkb.default_prompt_base().get("Mike")
         with pytest.raises(TransportError):
             lkb.personalize_remote("hello", profile, "extract",
@@ -380,6 +567,15 @@ class TestReplyDecoding:
         with pytest.raises(RemoteServiceError) as info:
             post_json(canned_endpoint(raw_server), "/embed", {"text": "hello"})
         assert str(info.value).endswith(f"/embed: status 503: {detail}")
+
+    def test_redirect_is_remote_error(self, raw_server, monkeypatch):
+        ep = canned_endpoint(raw_server)
+        monkeypatch.setattr(_RawHandler, "status", 307)
+        monkeypatch.setattr(_RawHandler, "body", b'{"error": "moved"}')
+        monkeypatch.setattr(_RawHandler, "location", ep.base_url + "/embed")
+        with pytest.raises(RemoteServiceError) as info:
+            post_json(ep, "/embed", {"text": "hello"})
+        assert str(info.value).endswith("/embed: status 307: moved")
 
     @pytest.mark.parametrize("fault", list(DECODE_FAULTS))
     @pytest.mark.parametrize("route", ["/transform", "/personalize", "/embed",
