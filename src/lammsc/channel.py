@@ -9,6 +9,11 @@ circulant matrix, h = Cf @ h @ Ct.T in complex128, cached per (extent,
 sigma); its rows hold the taps wrapped around the extent, summed where the
 kernel is wider than the grid.
 
+The least-squares (LS) baseline divides each received pilot by its known
+symbol, then interpolates linearly along each axis, again as one matrix
+product per axis: est = Wr @ at_pilots @ Wc.T in complex128, where each W
+holds the (extent, pilots) linear-interpolation weights with edge values held.
+
 Dataset file format (magic ``LMCH``, version 1), in the ``fileio`` frame:
   4 bytes magic, 1 byte version, little-endian uint32 header length,
   UTF-8 JSON header {rows, cols, sigma_f, sigma_t, count, seeds},
@@ -170,16 +175,10 @@ def insert_pilots(x: np.ndarray, pattern: PilotPattern) -> np.ndarray:
     return y
 
 
-def _axis_weights(n: int, knots: np.ndarray):
-    """Per-target lower knot index and linear weight, clamped at the edges."""
-    targets = np.arange(n, dtype=np.float64)
-    if knots.size == 1:
-        return np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.float64)
-    lo = np.clip(np.searchsorted(knots, targets, side="right") - 1, 0, knots.size - 2)
-    left = knots[lo].astype(np.float64)
-    right = knots[lo + 1].astype(np.float64)
-    w = np.clip((targets - left) / (right - left), 0.0, 1.0)
-    return lo, w
+def _interp_matrix(extent: int, knots: np.ndarray) -> np.ndarray:
+    """(extent, knots) linear-interpolation weights, edge values held."""
+    targets = np.arange(extent, dtype=np.float64)
+    return np.array([np.interp(targets, knots, unit) for unit in np.eye(knots.size)]).T
 
 
 def ls_estimate(y: np.ndarray, pattern: PilotPattern) -> np.ndarray:
@@ -187,7 +186,10 @@ def ls_estimate(y: np.ndarray, pattern: PilotPattern) -> np.ndarray:
 
     ``y`` is one grid or a (..., rows, cols) stack of them, each estimated on
     its own. Cells beyond the outermost pilot row/column take the nearest
-    pilot value.
+    pilot value. Every weight, zero ones included, multiplies every pilot of
+    its grid, so one non-finite pilot makes that grid's whole estimate
+    non-finite (0 * inf is NaN); ``apply_channel`` gives none at any SNR
+    >= MIN_SNR_DB.
     """
     if pattern.pilot_rows.size == 0 or pattern.pilot_cols.size == 0:
         raise ValueError("pilot pattern is empty")
@@ -197,16 +199,8 @@ def ls_estimate(y: np.ndarray, pattern: PilotPattern) -> np.ndarray:
                          f"{pattern.rows}x{pattern.cols}")
     at_pilots = (y[..., pattern.pilot_rows[:, None], pattern.pilot_cols]
                  .astype(np.complex128) / pattern.symbols.astype(np.complex128))
-    r0, wr = _axis_weights(pattern.rows, pattern.pilot_rows)
-    c0, wc = _axis_weights(pattern.cols, pattern.pilot_cols)
-    r0, r1 = r0[:, None], np.minimum(r0 + 1, pattern.pilot_rows.size - 1)[:, None]
-    c1 = np.minimum(c0 + 1, pattern.pilot_cols.size - 1)
-    wr = wr[:, None]
-    wc = wc[None, :]
-    est = ((1 - wr) * (1 - wc) * at_pilots[..., r0, c0]
-           + (1 - wr) * wc * at_pilots[..., r0, c1]
-           + wr * (1 - wc) * at_pilots[..., r1, c0]
-           + wr * wc * at_pilots[..., r1, c1])
+    est = (_interp_matrix(pattern.rows, pattern.pilot_rows) @ at_pilots
+           @ _interp_matrix(pattern.cols, pattern.pilot_cols).T)
     return est.astype(np.complex64)
 
 

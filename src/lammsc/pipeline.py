@@ -47,7 +47,7 @@ from .fileio import atomic_open, json_object
 from .lkb import (Profile, default_prompt_base, load_prompt_base,
                   personalize_extract, personalize_recover, personalize_remote)
 from .mma import ScenePayload, scene_to_text, text_to_scene, transform_remote
-from .wire import Endpoint
+from .wire import MAX_TIMEOUT_MS, Endpoint
 
 ESTIMATORS = ("perfect", "cge", "ls", "none")
 BACKENDS = ("mock", "remote")
@@ -109,8 +109,9 @@ class PipelineConfig:
         if not (0 <= self.sigma_f <= MAX_SIGMA and 0 <= self.sigma_t <= MAX_SIGMA):
             raise ConfigError(f"smoothing stds sigma_f and sigma_t must lie in "
                               f"[0, {MAX_SIGMA:g}]")
-        if self.timeout_ms <= 0:
-            raise ConfigError(f"timeout_ms must be positive, got {self.timeout_ms}")
+        if not 0 < self.timeout_ms <= MAX_TIMEOUT_MS:
+            raise ConfigError(f"timeout_ms must lie in 1..{MAX_TIMEOUT_MS}, "
+                              f"got {self.timeout_ms}")
         if self.retries < 0:
             raise ConfigError(f"retries must be non-negative, got {self.retries}")
         if not -1.0 <= self.threshold <= 1.0:
@@ -131,8 +132,11 @@ class PipelineConfig:
             if backend not in BACKENDS:
                 raise ConfigError(f"{stage} backend must be one of {BACKENDS}, "
                                   f"got {backend!r}")
-            if backend == "remote" and not endpoint:
-                raise ConfigError(f"{stage} backend 'remote' needs an endpoint")
+            if backend == "remote":
+                try:
+                    Endpoint(endpoint)
+                except ValueError as exc:
+                    raise ConfigError(f"{stage} backend 'remote': {exc}") from exc
         return self
 
     def arms(self) -> list[str]:

@@ -35,21 +35,32 @@ from .fileio import json_object
 PROTOCOL_VERSION = "lam-msc/1"
 VERSION_HEADER = "X-Protocol-Version"
 MAX_HOSTS = 10  # connections a thread keeps open, as urllib3's pool manager
+# Largest timeout_ms (about 24.8 days). CPython waits on a socket with poll(),
+# whose timeout is a C int of milliseconds, so a larger one wraps modulo 2**32
+# (4294967396 ms times out after 0.1 s); above about 9.22e12 ms, past the int64
+# nanoseconds CPython keeps, settimeout raises OverflowError.
+MAX_TIMEOUT_MS = 2 ** 31 - 1
 
 _local = threading.local()
 
 
 @dataclass
 class Endpoint:
-    """Base address plus per-call timeout and retry budget."""
+    """Base address (an http:// or https:// URL with a host) plus per-call
+    timeout and retry budget."""
 
     base_url: str
     timeout_ms: int = 5000
     retries: int = 1
 
     def __post_init__(self):
-        if self.timeout_ms <= 0:
-            raise ValueError(f"timeout_ms must be positive, got {self.timeout_ms}")
+        parts = urlsplit(self.base_url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"endpoint must be an http:// or https:// URL with a "
+                             f"host, got {self.base_url!r}")
+        if not 0 < self.timeout_ms <= MAX_TIMEOUT_MS:
+            raise ValueError(f"timeout_ms must lie in 1..{MAX_TIMEOUT_MS}, "
+                             f"got {self.timeout_ms}")
         if self.retries < 0:
             raise ValueError(f"retries must be non-negative, got {self.retries}")
 
@@ -73,8 +84,6 @@ def _open(url: str) -> _Route:
     bundle and credentials the environment gives it now."""
     parts = urlsplit(url)
     hostport = parts.netloc.rpartition("@")[2]
-    if parts.scheme not in ("http", "https"):
-        raise http.client.InvalidURL(f"unsupported scheme {parts.scheme!r}")
     utils = requests.utils
     headers = {"Content-Type": "application/json",
                VERSION_HEADER: PROTOCOL_VERSION}

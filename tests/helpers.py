@@ -46,6 +46,36 @@ def reference_gen_channel(seed: int, rows: int, cols: int, sigma_f: float,
                               int(seed))
 
 
+def _reference_axis_weights(n: int, knots: np.ndarray):
+    """Per-target lower knot index and linear weight, clamped at the edges."""
+    targets = np.arange(n, dtype=np.float64)
+    if knots.size == 1:
+        return np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.float64)
+    lo = np.clip(np.searchsorted(knots, targets, side="right") - 1, 0, knots.size - 2)
+    left = knots[lo].astype(np.float64)
+    right = knots[lo + 1].astype(np.float64)
+    w = np.clip((targets - left) / (right - left), 0.0, 1.0)
+    return lo, w
+
+
+def reference_ls_estimate(y: np.ndarray, pattern) -> np.ndarray:
+    """channel.ls_estimate as a weighted sum of each cell's four surrounding
+    pilots (reference oracle)."""
+    at_pilots = (np.asarray(y)[..., pattern.pilot_rows[:, None], pattern.pilot_cols]
+                 .astype(np.complex128) / pattern.symbols.astype(np.complex128))
+    r0, wr = _reference_axis_weights(pattern.rows, pattern.pilot_rows)
+    c0, wc = _reference_axis_weights(pattern.cols, pattern.pilot_cols)
+    r0, r1 = r0[:, None], np.minimum(r0 + 1, pattern.pilot_rows.size - 1)[:, None]
+    c1 = np.minimum(c0 + 1, pattern.pilot_cols.size - 1)
+    wr = wr[:, None]
+    wc = wc[None, :]
+    est = ((1 - wr) * (1 - wc) * at_pilots[..., r0, c0]
+           + (1 - wr) * wc * at_pilots[..., r0, c1]
+           + wr * (1 - wc) * at_pilots[..., r1, c0]
+           + wr * wc * at_pilots[..., r1, c1])
+    return est.astype(np.complex64)
+
+
 def _ref_out_size(size: int, k: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - k) // stride + 1
 

@@ -9,7 +9,7 @@ from scipy import stats
 from lammsc import channel, fileio
 from lammsc.errors import FormatError, LamMscError, ShapeError
 
-from helpers import reference_gen_channel
+from helpers import reference_gen_channel, reference_ls_estimate
 
 
 LMCH_PINNED_SHA256 = ("7fd93339a939e1c347957f2b19473f4d"
@@ -190,6 +190,46 @@ class TestLsEstimate:
                                      pat.symbols[:0])
         with pytest.raises(ValueError, match="empty"):
             channel.ls_estimate(np.zeros((8, 8), np.complex64), empty)
+
+    # (rows, cols, d_f, d_t, extra): extra rows and columns beyond the pattern
+    @pytest.mark.parametrize("rows, cols, d_f, d_t, extra", [
+        (32, 32, 4, 4, 0), (16, 16, 4, 4, 0), (32, 32, 3, 5, 0), (20, 12, 7, 5, 0),
+        (8, 8, 8, 8, 0), (32, 32, 1, 32, 0), (20, 12, 7, 5, 3)])
+    def test_matches_four_corner_reference_bit_for_bit(self, rows, cols, d_f, d_t,
+                                                       extra):
+        """On random stacks, each grid's estimate has the bytes of the
+        four-corner weighted sum, alone and in the stack; a grid larger than
+        the pattern is estimated on the pattern's extents."""
+        pat = channel.make_pilot_pattern(rows, cols, d_f, d_t, seed=rows + d_t)
+        rng = np.random.default_rng(rows * cols + d_f)
+        shape = (2, 25, rows + extra, cols + extra)
+        y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        y = y.astype(np.complex64)
+        est = channel.ls_estimate(y, pat)
+        assert est.shape == (2, 25, rows, cols) and est.dtype == np.complex64
+        assert est.tobytes() == reference_ls_estimate(y, pat).tobytes()
+        assert est[1, 3].tobytes() == channel.ls_estimate(y[1, 3], pat).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_pilot_makes_its_grid_non_finite(self, bad):
+        """Every weight multiplies every pilot of its grid, so one non-finite
+        pilot spreads over that grid's whole estimate and to no other grid."""
+        pat = channel.make_pilot_pattern(32, 32, 4, 4, seed=8)
+        rng = np.random.default_rng(9)
+        y = (rng.standard_normal((3, 32, 32))
+             + 1j * rng.standard_normal((3, 32, 32))).astype(np.complex64)
+        assert np.isfinite(channel.ls_estimate(y, pat)).all()
+        y[1, pat.pilot_rows[2], pat.pilot_cols[5]] = bad
+        with np.errstate(invalid="ignore"):
+            est = channel.ls_estimate(y, pat)
+        assert np.isfinite(est[[0, 2]]).all()
+        assert not np.isfinite(est[1]).any()
+
+    @pytest.mark.parametrize("shape", [(16,), (15, 16), (16, 15), (4, 16, 8)])
+    def test_grid_smaller_than_pattern_rejected(self, shape):
+        pat = channel.make_pilot_pattern(16, 16, 4, 4, seed=10)
+        with pytest.raises(ShapeError, match="does not cover"):
+            channel.ls_estimate(np.zeros(shape, np.complex64), pat)
 
 
 class TestNmse:

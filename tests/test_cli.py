@@ -300,13 +300,19 @@ class TestSetupErrors:
           "--snr-db=10,10.0000001"], "collide at 6 digits"),
         (["train-cge", "--out", "{tmp}/m.cge", "--seed=-1"], "--seed must be"),
         (["train-cge", "--out", "{tmp}/m.cge", "--data-seed=-1"], "--data-seed"),
+        (["run", "--text", "a boy", "--lkb-backend", "remote", "--lkb-endpoint",
+          "localhost:8099"], "lkb backend 'remote': endpoint must be"),
+        (["run", "--text", "a boy and a girl", "--embed-backend", "remote",
+          "--embed-endpoint", "http://127.0.0.1:9", "--timeout-ms", "10000000000000"],
+         "timeout_ms must lie in"),
     ], ids=["all-pilot", "zero-spacing", "spacing-over-extent", "zero-epochs",
             "zero-batch", "extents", "few-pairs", "train-nan-sigma",
             "train-channels-grid", "eval-model-grid", "eval-nan-sigma", "eval-no-model",
             "gen-nan-sigma", "gen-small-grid", "gen-zero-count",
             "run-snr-overflows-noise", "sweep-snr-overflows-grid",
             "sweep-snrs-share-a-key", "train-negative-seed",
-            "train-negative-data-seed"])
+            "train-negative-data-seed", "run-endpoint-not-a-url",
+            "run-timeout-over-socket-bound"])
     def test_config_error(self, capsys, tmp_path, monkeypatch, tiny_model_path,
                           channels16_path, corpus_path, argv, message):
         # a call to any work function would raise

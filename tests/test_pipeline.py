@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from lammsc import cge, codec, corpus, pipeline, semeval
 from lammsc.channel import MAX_SIGMA, NO_NOISE
 from lammsc.errors import ConfigError, CorpusError, LamMscError
+from lammsc.wire import MAX_TIMEOUT_MS
 
 from helpers import reference_run_message
 
@@ -55,11 +56,18 @@ class TestConfig:
     def test_remote_backend_needs_endpoint(self):
         with pytest.raises(ConfigError, match="endpoint"):
             pipeline.PipelineConfig(mma_backend="remote").validate()
+        # an endpoint must be an http:// or https:// URL with a host
+        for stage in ("mma", "lkb", "embed"):
+            for url in ("localhost:8099", "ftp://x", "http://"):
+                with pytest.raises(ConfigError, match=f"^{stage} backend 'remote': "
+                                                      f"endpoint must be"):
+                    pipeline.PipelineConfig(**{f"{stage}_backend": "remote",
+                                               f"{stage}_endpoint": url}).validate()
 
     @pytest.mark.parametrize("field, value", [
         ("timeout_ms", 0), ("timeout_ms", -5), ("retries", -1),
         ("sigma_f", -1.0), ("sigma_t", -0.5), ("sigma_f", 2 * MAX_SIGMA),
-        ("sigma_t", 1e12)])
+        ("sigma_t", 1e12), ("timeout_ms", MAX_TIMEOUT_MS + 1)])
     def test_out_of_range_numbers_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             pipeline.PipelineConfig(**{field: value}).validate()

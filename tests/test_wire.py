@@ -448,6 +448,33 @@ class TestTransport:
         assert len(accepted) == len(hosts) + 1
 
 
+class TestEndpoint:
+    @pytest.mark.parametrize("url", ["localhost:8099", "ftp://x", "http://",
+                                     "https://:8443", "//127.0.0.1:1", ""])
+    def test_not_an_http_url_with_a_host_rejected(self, url):
+        with pytest.raises(ValueError, match="http:// or https:// URL with a host"):
+            Endpoint(url)
+
+    @pytest.mark.parametrize("timeout_ms", [0, -1, wire.MAX_TIMEOUT_MS + 1,
+                                            2 ** 32 + 100, 10 ** 13])
+    def test_timeout_out_of_range_rejected(self, timeout_ms):
+        with pytest.raises(ValueError, match="timeout_ms"):
+            Endpoint("http://127.0.0.1:1", timeout_ms=timeout_ms)
+
+    def test_post_at_the_timeout_bound(self, server):
+        """The largest timeout is one a socket takes, on a new connection and
+        on a kept-alive one whose timeout changes."""
+        slow = Endpoint(server.url, timeout_ms=wire.MAX_TIMEOUT_MS, retries=0)
+        fast = Endpoint(server.url, retries=0)
+
+        def posts():
+            return [post_json(ep, "/embed", {"text": "bound"})
+                    for ep in (slow, fast, slow)]
+
+        want = post_json(fast, "/embed", {"text": "bound"})
+        assert on_new_thread(posts) == [want] * 3
+
+
 class TestServerLifecycle:
     def test_failed_bind_raises_its_os_error(self):
         with socket.create_server(("127.0.0.1", 0)) as taken:
