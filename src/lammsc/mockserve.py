@@ -11,10 +11,28 @@ Routes (all POST, JSON bodies, version header ``lam-msc/1``):
   /embed        {text} -> {vector}
                 The built-in hashed-trigram embedder.
 
-Failures answer {error, message} with a 4xx status. The server speaks
-HTTP/1.1 and keeps connections open; a request whose body cannot be framed
-(no valid Content-Length, or a Transfer-Encoding) is answered and its
-connection closed.
+Failures answer {error, message} with a 4xx or 5xx status. The server speaks
+HTTP/1.1 (RFC 9112) on its own request loop and keeps connections open:
+
+- It reads the request line and header lines itself, splitting each header
+  line at its first colon. A line longer than 65536 bytes, more than 100
+  header lines, a header line without a colon (or with whitespace in or
+  around its name) or a request line that is not ``METHOD target
+  HTTP/1.0|1.1`` gets a 400, and the connection closes.
+- A method other than POST gets a 501, and the connection closes.
+- A request whose body cannot be framed (no valid Content-Length, or a
+  Transfer-Encoding) is answered with a 400, and its connection closes.
+  ``Expect: 100-continue`` is answered with ``100 Continue`` before the
+  body is read. The whole body is read before any reply, so a 400 or 404
+  leaves a kept-alive connection framed.
+- An HTTP/1.0 request closes its connection after the reply unless it
+  asks for ``Connection: keep-alive``; ``Connection: close`` closes one of
+  either version. Pipelined requests are answered in order.
+- Each reply's status line, headers and body go out in one write, with
+  TCP_NODELAY set.
+- A client that goes away ends its connection quietly: a body cut short
+  by the end of the stream gets no reply, and a failed write ends the
+  connection. A 500 answers a fault in a route handler only.
 """
 
 from __future__ import annotations
@@ -23,8 +41,11 @@ import base64
 import binascii
 import json
 import socket
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
+from http.server import ThreadingHTTPServer
 
 from . import mma, semeval
 from .errors import CaptionParseError
@@ -32,6 +53,8 @@ from .fileio import json_object
 from .wire import PROTOCOL_VERSION, VERSION_HEADER
 
 _PROMPT_MARKER = "\nText:\n"
+_MAX_LINE = 65536  # bytes in a request or header line, as http.server allows
+_MAX_HEADERS = 100  # header lines in a request, as http.server allows
 
 
 class _BadRequest(ValueError):
@@ -87,38 +110,102 @@ _ROUTES = {"/transform": _handle_transform,
            "/embed": _handle_embed}
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    # headers and body go out as two writes; with Nagle on, the second
-    # waits for the client's delayed ACK (about 40 ms per round trip)
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection: read each request's line and headers, answer it, and
+    go on until the client or a framing rule ends the connection."""
+
+    # a reply goes out as one write, but one that follows an unacknowledged
+    # write (a 100 Continue, a pipelined reply) would wait with Nagle on for
+    # the client's delayed ACK, about 40 ms
     disable_nagle_algorithm = True
 
-    def log_message(self, *args):  # keep test output quiet
-        pass
+    def handle(self):
+        try:
+            while True:
+                try:
+                    if not self._read_head():
+                        return  # the stream ended, before or inside a head
+                except _BadRequest as exc:
+                    self.close_connection = True
+                    self._send(400, {"error": "request", "message": str(exc)})
+                    return
+                if self.command != "POST":
+                    self.close_connection = True
+                    self._send(501, {"error": "protocol",
+                                     "message": f"unsupported method {self.command!r}"})
+                    return
+                self.do_POST()
+                if self.close_connection:
+                    return
+        except OSError:
+            pass  # the client went away; nobody is left to answer
+
+    def _line(self, what: str) -> bytes | None:
+        """One CRLF- (or LF-) ended line, or None if the stream ends first."""
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise _BadRequest(f"{what} longer than {_MAX_LINE} bytes")
+        return line if line.endswith(b"\n") else None
+
+    def _read_head(self) -> bool:
+        """Read a request line and its header lines into ``command``,
+        ``path``, ``request_version``, ``headers`` (lower-cased names; a
+        repeated field's values joined by ", ") and ``close_connection``.
+        False if the stream ends first."""
+        line = self._line("request line")
+        if line in (b"\r\n", b"\n"):  # RFC 9112 2.2: one empty line may lead
+            line = self._line("request line")
+        if line is None:
+            return False
+        words = line.decode("latin-1").split()
+        if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
+            raise _BadRequest(f"malformed request line {line[:80]!r}")
+        self.command, self.path, self.request_version = words
+        self.headers = headers = {}
+        while (line := self._line("header line")) not in (b"\r\n", b"\n"):
+            if line is None:
+                return False
+            if len(headers) == _MAX_HEADERS:
+                raise _BadRequest(f"more than {_MAX_HEADERS} header lines")
+            name, colon, value = line.partition(b":")
+            if not colon or name.split() != [name]:  # RFC 9112 5.1
+                raise _BadRequest(f"malformed header line {line[:80]!r}")
+            key = name.decode("latin-1").lower()
+            value = value.strip().decode("latin-1")
+            headers[key] = f"{headers[key]}, {value}" if key in headers else value
+        tokens = {t.strip().lower() for t in headers.get("connection", "").split(",")}
+        self.close_connection = "close" in tokens or (
+            self.request_version == "HTTP/1.0" and "keep-alive" not in tokens)
+        return True
 
     def _send(self, status: int, payload: dict):
         blob = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(blob)))
-        self.send_header(VERSION_HEADER, PROTOCOL_VERSION)
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(blob)
+        close = "Connection: close\r\n" if self.close_connection else ""
+        head = (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+                f"Date: {formatdate(usegmt=True)}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(blob)}\r\n"
+                f"{VERSION_HEADER}: {PROTOCOL_VERSION}\r\n{close}\r\n")
+        self.wfile.write(head.encode("latin-1") + blob)
 
     def do_POST(self):
         # the body is read before any reply, so that a kept-alive connection
         # stays framed whatever the answer
-        length = self.headers.get("Content-Length", "")
-        if "Transfer-Encoding" in self.headers or not (length.isascii()
+        length = self.headers.get("content-length", "")
+        if "transfer-encoding" in self.headers or not (length.isascii()
                                                        and length.isdigit()):
             self.close_connection = True
             self._send(400, {"error": "request",
                              "message": "request body needs a Content-Length"})
             return
+        if (self.request_version == "HTTP/1.1"
+                and self.headers.get("expect", "").lower() == "100-continue"):
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         raw = self.rfile.read(int(length))
-        version = self.headers.get(VERSION_HEADER)
+        if len(raw) < int(length):  # the stream ended inside the body
+            self.close_connection = True
+            return
+        version = self.headers.get(VERSION_HEADER.lower())
         if version is not None and version != PROTOCOL_VERSION:
             self._send(400, {"error": "protocol",
                              "message": f"unsupported protocol version {version!r}"})
@@ -129,11 +216,12 @@ class _Handler(BaseHTTPRequestHandler):
                              "message": f"unknown route {self.path}"})
             return
         try:
-            self._send(200, handler(json_object(raw, "request body")))
+            status, reply = 200, handler(json_object(raw, "request body"))
         except ValueError as exc:  # _BadRequest, or a body json_object rejects
-            self._send(400, {"error": "request", "message": str(exc)})
-        except Exception as exc:  # pragma: no cover - defensive
-            self._send(500, {"error": "internal", "message": str(exc)})
+            status, reply = 400, {"error": "request", "message": str(exc)}
+        except Exception as exc:  # pragma: no cover - a route handler's own fault
+            status, reply = 500, {"error": "internal", "message": str(exc)}
+        self._send(status, reply)
 
 
 class MockServer(ThreadingHTTPServer):

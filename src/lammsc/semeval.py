@@ -87,12 +87,28 @@ def accuracy_from_scores(scores, threshold: float = 0.6) -> float:
     return sum(1 for s in scores if s > threshold) / len(scores)
 
 
+def _reals(vector) -> np.ndarray | None:
+    """``vector`` as float64 if it is a list of DIM JSON numbers (a bool is
+    not one), each finite and within float64's range; else None."""
+    if not isinstance(vector, list) or len(vector) != DIM or not set(
+            map(type, vector)) <= {int, float}:
+        return None
+    try:
+        values = np.asarray(vector, dtype=np.float64)
+    except OverflowError:  # an int at or past 2**1024 - 2**970
+        return None
+    # A NaN, an infinity and a value of float64's largest magnitude take the
+    # exact per-element rule: an int past the largest float rounds down to it.
+    if not (np.abs(values) < sys.float_info.max).all() and not all(
+            abs(x) <= sys.float_info.max for x in vector):
+        return None
+    return values
+
+
 def embed_remote(text: str, ep) -> EmbeddingVector:
     """Fetch the embedding from a remote service speaking the /embed contract."""
     resp = post_json(ep, "/embed", {"text": text})
-    vector = require_field(resp, "vector", ep.base_url)
-    # JSON numbers only (a bool is not a real), finite and within float64 range
-    if not isinstance(vector, list) or len(vector) != DIM or not all(
-            type(x) in (int, float) and abs(x) <= sys.float_info.max for x in vector):
+    values = _reals(require_field(resp, "vector", ep.base_url))
+    if values is None:
         raise ProtocolError(f"{ep.base_url}: vector must hold {DIM} finite reals")
-    return EmbeddingVector(np.asarray(vector, dtype=np.float64))
+    return EmbeddingVector(values)

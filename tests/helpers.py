@@ -1,6 +1,7 @@
 """Shared numeric test utilities."""
 
 import dataclasses
+import sys
 
 import numpy as np
 
@@ -17,6 +18,14 @@ def fnv1a64(data: bytes) -> int:
     for b in data:
         h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def reference_vector_ok(vector) -> bool:
+    """The per-element rule for an /embed reply's vector (reference oracle):
+    a list of DIM JSON numbers (a bool is not one), each finite and within
+    float64's range."""
+    return isinstance(vector, list) and len(vector) == semeval.DIM and all(
+        type(x) in (int, float) and abs(x) <= sys.float_info.max for x in vector)
 
 
 def reference_circular_smooth(plane: np.ndarray, sigma: float,

@@ -1,10 +1,37 @@
+import json
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lammsc import semeval
-from lammsc.errors import ShapeError
+from lammsc.errors import ProtocolError, ShapeError
+from lammsc.wire import Endpoint
 
-from helpers import fnv1a64
+from helpers import fnv1a64, reference_vector_ok
+
+MAX = sys.float_info.max
+# values at float64's edge: the largest float, ints on either side of it
+# (int(MAX) + 1 rounds down to MAX) and either side of 2**1024 - 2**970,
+# from which an int no longer converts to a float
+_EDGES = [MAX, -MAX, int(MAX), int(MAX) + 1, -int(MAX) - 1,
+          2 ** 1024 - 2 ** 970 - 1, 2 ** 1024 - 2 ** 970, 10 ** 308, 10 ** 309]
+_ELEMENTS = (st.floats() | st.integers() | st.sampled_from(_EDGES)
+             | st.booleans() | st.none() | st.text(max_size=3)
+             | st.lists(st.floats(), max_size=2))
+# DIM - 1, DIM or DIM + 1 reals, with a few arbitrary elements put in
+_VECTORS = st.builds(
+    lambda size, base, odd: [odd.get(i, base) for i in range(size)],
+    st.sampled_from([semeval.DIM - 1, semeval.DIM, semeval.DIM + 1]),
+    st.floats(-1, 1) | st.integers(-3, 3),
+    st.dictionaries(st.integers(0, semeval.DIM), _ELEMENTS, max_size=4))
+
+
+def dim_with(*odd) -> list:
+    return [0.25] * (semeval.DIM - len(odd)) + list(odd)
 
 
 def reference_embed(text: str) -> np.ndarray:
@@ -106,3 +133,37 @@ class TestAccuracy:
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError):
             semeval.accuracy_from_scores([0.5], 1.5)
+
+
+class TestEmbedReplyCheck:
+    """embed_remote accepts exactly the vectors the per-element rule does,
+    and builds the same bytes from them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(vector=_VECTORS | st.lists(_ELEMENTS, max_size=3))
+    @example(vector=dim_with(True))
+    @example(vector=dim_with(10 ** 309))
+    @example(vector=dim_with(10 ** 308))
+    @example(vector=dim_with(int(MAX) + 1))
+    @example(vector=dim_with(MAX, -MAX))
+    @example(vector=dim_with(*json.loads("[NaN]")))
+    @example(vector=dim_with(*json.loads("[Infinity]")))
+    @example(vector=dim_with(*json.loads("[-Infinity]")))
+    @example(vector=dim_with("0.5"))
+    @example(vector=dim_with(None))
+    @example(vector=dim_with([0.5]))
+    @example(vector=[0.25] * (semeval.DIM - 1))
+    @example(vector=[0.25] * (semeval.DIM + 1))
+    @example(vector=[1] * semeval.DIM)
+    def test_matches_per_element_rule(self, vector):
+        def post_json(ep, path, body):
+            return {"vector": vector}
+
+        ep = Endpoint("http://replies.invalid")
+        with mock.patch.object(semeval, "post_json", post_json):
+            if reference_vector_ok(vector):
+                got = semeval.embed_remote("hello", ep).values
+                assert got.tobytes() == np.asarray(vector, dtype=np.float64).tobytes()
+            else:
+                with pytest.raises(ProtocolError, match="finite reals"):
+                    semeval.embed_remote("hello", ep)

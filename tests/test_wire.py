@@ -4,6 +4,7 @@ import http.client
 import json
 import socket
 import statistics
+import struct
 import sys
 import threading
 import time
@@ -19,7 +20,7 @@ import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lammsc import corpus, lkb, mma, pipeline, semeval, wire
+from lammsc import corpus, lkb, mma, mockserve, pipeline, semeval, wire
 from lammsc.errors import ProtocolError, RemoteServiceError, TransportError
 from lammsc.mockserve import MockServer
 from lammsc.wire import PROTOCOL_VERSION, VERSION_HEADER, Endpoint, post_json
@@ -488,6 +489,168 @@ class TestServerLifecycle:
         worker.join(timeout=5)
         assert not worker.is_alive()
         assert srv.socket.fileno() == -1
+
+
+def raw_request(text: str, version: str = "HTTP/1.1", head: str = "") -> bytes:
+    """A /personalize request whose reply echoes ``text``."""
+    body = json.dumps({"prompt": f"task\nText:\n{text}"}).encode()
+    return (f"POST /personalize {version}\r\nHost: x\r\n{head}"
+            f"Content-Length: {len(body)}\r\n\r\n").encode() + body
+
+
+def read_to_close(sock) -> bytes:
+    """Everything the server sends until it closes the connection. A server
+    that closes with request bytes unread resets the connection; what it
+    sent before stays readable."""
+    reply = b""
+    try:
+        while chunk := sock.recv(65536):
+            reply += chunk
+    except ConnectionResetError:
+        pass
+    return reply
+
+
+def exchange(server, data: bytes) -> bytes:
+    """Send ``data`` on a new connection; the server's bytes until it closes."""
+    with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+        try:
+            sock.sendall(data)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the server answered and closed before it took every byte
+        return read_to_close(sock)
+
+
+def reply_json(reply: bytes) -> dict:
+    return json.loads(reply.partition(b"\r\n\r\n")[2])
+
+
+def connection_ends(srv) -> threading.Event:
+    """Set once the server has finished with a connection; a traceback for
+    it would have been printed before."""
+    ended = threading.Event()
+    shutdown_request = srv.shutdown_request
+
+    def signalling(request):
+        shutdown_request(request)
+        ended.set()
+
+    srv.shutdown_request = signalling
+    return ended
+
+
+class TestRequestLoop:
+    """The mock server's own request loop at the edges of RFC 9112."""
+
+    @pytest.mark.parametrize("data", [
+        b"POST /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n",
+        raw_request("x", head="X-Long: " + "a" * 65536 + "\r\n"),
+        raw_request("x", head="".join(f"X-H{i}: v\r\n" for i in range(101))),
+        raw_request("x", head="X-No-Colon\r\n"),
+        raw_request("x", head="X-Space : v\r\n"),
+        raw_request("x", head=" X-Folded: v\r\n"),
+        raw_request("x", version="HTTP/2.0"),
+        b"POST /personalize\r\n\r\n"],
+        ids=["long-request-line", "long-header-line", "101-headers", "no-colon",
+             "space-before-colon", "folded-line", "http-2", "two-words"])
+    def test_bad_head_is_400_and_closed(self, server, data):
+        reply = exchange(server, data)
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close\r\n" in reply
+        assert reply_json(reply)["error"] == "request"
+
+    def test_limits_are_inclusive(self, server):
+        # a 65536-byte line, and 100 header lines with Host and Content-Length
+        long_line = "X-Long: " + "a" * (65536 - len("X-Long: \r\n")) + "\r\n"
+        head = long_line + "".join(f"X-H{i}: v\r\n" for i in range(96))
+        reply = exchange(server, raw_request("at the limits",
+                                             head=head + "Connection: close\r\n"))
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        assert reply_json(reply) == {"text": "at the limits"}
+
+    @pytest.mark.parametrize("method", ["GET", "PUT", "DELETE"])
+    def test_other_method_is_501_and_closed(self, server, method):
+        reply = exchange(server, f"{method} /embed HTTP/1.1\r\nHost: x\r\n\r\n".encode())
+        assert reply.startswith(b"HTTP/1.1 501 ")
+        assert b"\r\nConnection: close\r\n" in reply
+        body = reply_json(reply)
+        assert set(body) == {"error", "message"}
+        assert method in body["message"]
+
+    def test_expect_100_continue_before_the_body(self, server):
+        request = raw_request("after continue",
+                              head="Expect: 100-continue\r\nConnection: close\r\n")
+        head, _, body = request.partition(b"\r\n\r\n")
+        with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+            sock.sendall(head + b"\r\n\r\n")
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n") and (chunk := sock.recv(1)):
+                interim += chunk
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            reply = read_to_close(sock)
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        assert reply_json(reply) == {"text": "after continue"}
+
+    @pytest.mark.parametrize("first, replies", [
+        ("", 1), ("Connection: keep-alive\r\n", 2), ("Connection: Keep-Alive, x\r\n", 2)],
+        ids=["plain", "keep-alive", "keep-alive-token"])
+    def test_http_1_0_closes_unless_kept_alive(self, server, first, replies):
+        reply = exchange(server, raw_request("one", "HTTP/1.0", first)
+                         + raw_request("two", "HTTP/1.0"))
+        assert reply.count(b"HTTP/1.1 200 OK\r\n") == replies
+        assert reply.endswith(b'{"text": "one"}' if replies == 1 else b'{"text": "two"}')
+
+    def test_pipelined_requests_answered_in_order(self, server):
+        # the CRLF after the first body is the one empty line RFC 9112 lets lead
+        reply = exchange(server, raw_request("first") + b"\r\n"
+                         + raw_request("second", head="Connection: close\r\n"))
+        first, second = reply.split(b"HTTP/1.1 200 OK\r\n")[1:]
+        assert first.endswith(b'{"text": "first"}')
+        assert second.endswith(b'{"text": "second"}')
+        assert b"\r\nConnection: close\r\n" in second
+
+
+class TestQuietDisconnects:
+    """A client that goes away early costs the server no traceback and no
+    reply, and the next client is answered."""
+
+    def test_body_cut_short_gets_no_reply(self, capfd):
+        with MockServer() as srv:
+            ended = connection_ends(srv)
+            with socket.create_connection(srv.server_address[:2], timeout=5) as sock:
+                sock.sendall(b"POST /embed HTTP/1.1\r\nHost: x\r\n"
+                             b"Content-Length: 100\r\n\r\n" + b'{"text": "cut')
+                sock.shutdown(socket.SHUT_WR)
+                assert read_to_close(sock) == b""
+            assert ended.wait(5)
+            assert post_json(Endpoint(srv.url, retries=0), "/personalize",
+                             {"prompt": "task\nText:\nnext"}) == {"text": "next"}
+        assert capfd.readouterr().err == ""
+
+    def test_reset_during_the_reply_is_quiet(self, capfd, monkeypatch):
+        entered, reset = threading.Event(), threading.Event()
+
+        def slow(body):
+            entered.set()
+            reset.wait(5)
+            return {"text": "too late"}
+
+        monkeypatch.setitem(mockserve._ROUTES, "/slow", slow)
+        with MockServer() as srv:
+            ended = connection_ends(srv)
+            sock = socket.create_connection(srv.server_address[:2], timeout=5)
+            sock.sendall(b"POST /slow HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: 2\r\n\r\n{}")
+            assert entered.wait(5)
+            # a zero linger time makes close() send a reset
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()
+            reset.set()
+            assert ended.wait(5)
+            assert post_json(Endpoint(srv.url, retries=0), "/personalize",
+                             {"prompt": "task\nText:\nnext"}) == {"text": "next"}
+        assert capfd.readouterr().err == ""
 
 
 class TestPersonalizeContract:
