@@ -58,14 +58,6 @@ class ChannelRealization:
     sigma_t: float
     seed: int
 
-    @property
-    def rows(self) -> int:
-        return self.gains.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.gains.shape[1]
-
 
 @dataclass(frozen=True)
 class PilotPattern:
@@ -232,11 +224,11 @@ def save_channel_dataset(path, realizations: list[ChannelRealization]) -> None:
     if not realizations:
         raise ValueError("cannot save an empty channel dataset")
     first = realizations[0]
-    for r in realizations:
-        if (r.rows, r.cols, r.sigma_f, r.sigma_t) != (first.rows, first.cols,
-                                                      first.sigma_f, first.sigma_t):
-            raise ValueError("all realizations in a dataset must share parameters")
-    header = {"rows": first.rows, "cols": first.cols, "sigma_f": first.sigma_f,
+    params = (first.gains.shape, first.sigma_f, first.sigma_t)
+    if any((r.gains.shape, r.sigma_f, r.sigma_t) != params for r in realizations):
+        raise ValueError("all realizations in a dataset must share parameters")
+    rows, cols = first.gains.shape
+    header = {"rows": rows, "cols": cols, "sigma_f": first.sigma_f,
               "sigma_t": first.sigma_t, "count": len(realizations),
               "seeds": [r.seed for r in realizations]}
     write_framed(path, _LMCH_MAGIC, _LMCH_VERSION, header,

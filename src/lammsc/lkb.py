@@ -46,6 +46,10 @@ class Profile:
     def __post_init__(self):
         if not self.name:
             raise ValueError("profile name must be non-empty")
+        # a field is one prompt line, so the prompt's first Text: line is its own
+        if any("\n" in v for v in (self.name, self.identity, self.gender,
+                                   *self.interests, *self.aliases, *self.focus_keywords)):
+            raise ValueError(f"profile {self.name!r}: a field holds a line break")
         self.aliases = [a.lower() for a in self.aliases]
 
 
@@ -262,6 +266,16 @@ def build_prompt(profile: Profile, text: str, direction: str) -> str:
         text,
     ]
     return "\n".join(lines)
+
+
+def prompt_text(prompt: str) -> str:
+    """The user text of a prompt, everything after its first ``Text:`` line,
+    so that ``prompt_text(build_prompt(profile, text, direction)) == text``.
+    A prompt without that line raises ValueError."""
+    _, marker, text = prompt.partition("\nText:\n")
+    if not marker:
+        raise ValueError("prompt carries no text section")
+    return text
 
 
 def personalize_remote(text: str, profile: Profile, direction: str,

@@ -7,7 +7,8 @@ Routes (all POST, JSON bodies, version header ``lam-msc/1``):
                 Runs the deterministic scene codec, so remote-mode pipeline
                 runs match mock-mode runs byte for byte.
   /personalize  {prompt} -> {text}
-                Echo contract: returns the user text embedded in the prompt.
+                Echo contract: returns the user text embedded in the prompt,
+                everything after its first ``Text:`` line (lkb.prompt_text).
   /embed        {text} -> {vector}
                 The built-in hashed-trigram embedder.
 
@@ -22,6 +23,8 @@ HTTP/1.1 (RFC 9112) on its own request loop and keeps connections open:
 - A method other than POST gets a 501, and the connection closes.
 - A request whose body cannot be framed (no valid Content-Length, or a
   Transfer-Encoding) is answered with a 400, and its connection closes.
+  A Content-Length over 16 MiB gets a 413, with no ``100 Continue`` and
+  without its body being read, and the connection closes.
   ``Expect: 100-continue`` is answered with ``100 Continue`` before the
   body is read. The whole body is read before any reply, so a 400 or 404
   leaves a kept-alive connection framed.
@@ -47,14 +50,14 @@ from email.utils import formatdate
 from http import HTTPStatus
 from http.server import ThreadingHTTPServer
 
-from . import mma, semeval
+from . import lkb, mma, semeval
 from .errors import CaptionParseError
 from .fileio import json_object
 from .wire import PROTOCOL_VERSION, VERSION_HEADER
 
-_PROMPT_MARKER = "\nText:\n"
 _MAX_LINE = 65536  # bytes in a request or header line, as http.server allows
 _MAX_HEADERS = 100  # header lines in a request, as http.server allows
+_MAX_BODY = 16 << 20  # bytes in a request body, far above any the program sends
 
 
 class _BadRequest(ValueError):
@@ -92,10 +95,7 @@ def _handle_personalize(body: dict) -> dict:
     prompt = body.get("prompt")
     if not isinstance(prompt, str):
         raise _BadRequest("request needs a string 'prompt' field")
-    cut = prompt.rfind(_PROMPT_MARKER)
-    if cut < 0:
-        raise _BadRequest("prompt carries no text section")
-    return {"text": prompt[cut + len(_PROMPT_MARKER):]}
+    return {"text": lkb.prompt_text(prompt)}
 
 
 def _handle_embed(body: dict) -> dict:
@@ -198,11 +198,18 @@ class _Handler(socketserver.StreamRequestHandler):
             self._send(400, {"error": "request",
                              "message": "request body needs a Content-Length"})
             return
+        digits = length.lstrip("0") or "0"  # int() takes at most 4300 digits
+        size = int(digits) if len(digits) <= len(str(_MAX_BODY)) else _MAX_BODY + 1
+        if size > _MAX_BODY:  # refused unread (RFC 9110 15.5.14)
+            self.close_connection = True
+            self._send(413, {"error": "request",
+                             "message": f"request body over {_MAX_BODY} bytes"})
+            return
         if (self.request_version == "HTTP/1.1"
                 and self.headers.get("expect", "").lower() == "100-continue"):
             self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        raw = self.rfile.read(int(length))
-        if len(raw) < int(length):  # the stream ended inside the body
+        raw = self.rfile.read(size)
+        if len(raw) < size:  # the stream ended inside the body
             self.close_connection = True
             return
         version = self.headers.get(VERSION_HEADER.lower())

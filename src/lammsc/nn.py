@@ -96,10 +96,14 @@ class LayerParams:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.activation == "leaky_relu":
             _check_slope(self.slope)
-        if self.stride < 1 or self.padding < 0:
-            raise ValueError("stride must be >= 1 and padding >= 0")
         self.weights = np.asarray(self.weights, dtype=np.float32)
         self.bias = np.asarray(self.bias, dtype=np.float32)
+        if self.weights.ndim != (2 if self.kind == "dense" else 4):
+            raise ValueError(f"{self.kind} weights of shape {self.weights.shape}")
+        if not (type(self.stride) is int and type(self.padding) is int  # no bool
+                and self.stride >= 1 and 0 <= self.padding < self.kernel_size):
+            raise ValueError(f"stride {self.stride!r} must be an int >= 1 and padding "
+                             f"{self.padding!r} an int in [0, {self.kernel_size})")
 
     @property
     def kernel_size(self) -> int:

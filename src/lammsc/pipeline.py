@@ -318,16 +318,15 @@ def load_profiles(cfg: PipelineConfig) -> tuple[Profile, Profile]:
 # ---------------------------------------------------------------------------
 # per-message pass: one message through every (snr, seed) draw and arm
 
-def _attempt(record: TransmissionRecord, stage: str, fn, fallback, *, sharing=()):
-    """Run one stage, timing it and capturing its error on the record.
+def _attempt(records, stage: str, fn, fallback):
+    """Run one stage for the ``records`` whose result it is, timing it and
+    capturing its error on them.
 
-    A call whose result several records share runs once, with the others
-    named in ``sharing``: its error lands on each that has no earlier error,
-    and each is charged an equal share of its wall time. An error outside
-    (LamMscError, ValueError) is a bug, not a channel outcome: it gets a note
-    naming the stage and is re-raised unchanged.
+    The call runs once: its error lands on each record that has no earlier
+    error, and each is charged an equal share of its wall time. An error
+    outside (LamMscError, ValueError) is a bug, not a channel outcome: it gets
+    a note naming the stage and is re-raised unchanged.
     """
-    records = (record, *sharing)
     start = time.perf_counter()
     try:
         return fn()
@@ -401,23 +400,20 @@ def _run_message(payload, cfg: PipelineConfig, stages, pattern, model, draws,
     caption, to_payload, extract, recover, embed = stages
     records = [TransmissionRecord(payload, snr_db=snr_db, seed=seed, estimator=arm)
                for snr_db, seed in draws for arm in arms]
-    first, *rest = records
-    text = _attempt(first, "modal-transform", lambda: (
-        payload if isinstance(payload, str) else caption(payload)), "", sharing=rest)
-    semantics = _attempt(first, "personalize-extract", lambda: extract(text), "",
-                         sharing=rest)
-    reference = _attempt(first, "reference", lambda: recover(semantics), semantics,
-                         sharing=rest)
-    frames = _attempt(first, "transmit", lambda: codec.map_to_grid(codec.modulate(
-        codec.tokenize(semantics), cfg.repetition), pattern), None, sharing=rest)
+    text = _attempt(records, "modal-transform", lambda: (
+        payload if isinstance(payload, str) else caption(payload)), "")
+    semantics = _attempt(records, "personalize-extract", lambda: extract(text), "")
+    reference = _attempt(records, "reference", lambda: recover(semantics), semantics)
+    frames = _attempt(records, "transmit", lambda: codec.map_to_grid(codec.modulate(
+        codec.tokenize(semantics), cfg.repetition), pattern), None)
     for rec in records:
         rec.caption, rec.semantics, rec.reference_text = text, semantics, reference
         if not semantics:
             rec.flags.append("empty-semantics")
     by_draw = [records[k:k + len(arms)] for k in range(0, len(records), len(arms))]
     channels = [frames and _attempt(  # None once framing or the draw failed
-        group[0], "transmit", partial(_draw_channel, cfg, frames, snr_db, seed), None,
-        sharing=group[1:]) for group, (snr_db, seed) in zip(by_draw, draws)]
+        group, "transmit", partial(_draw_channel, cfg, frames, snr_db, seed), None)
+        for group, (snr_db, seed) in zip(by_draw, draws)]
     reached = [group for group, channel in zip(by_draw, channels) if channel]
     if reached:
         truth, ys = (np.stack(grids) for grids in zip(*filter(None, channels)))
@@ -425,23 +421,23 @@ def _run_message(payload, cfg: PipelineConfig, stages, pattern, model, draws,
                  "ls": partial(ls_estimate, ys, pattern),
                  "cge": lambda: cge.estimate(model, cge.make_condition(
                      ys.reshape(-1, cfg.rows, cfg.cols), pattern)).reshape(ys.shape)}
-        estimates = [_attempt(column[0], "transmit", gains[arm], None, sharing=column[1:])
+        estimates = [_attempt(column, "transmit", gains[arm], None)
                      for arm, column in zip(arms, zip(*reached))]
         kept = [a for a, est in enumerate(estimates) if est is not None]
         stack = [group[a] for group in reached for a in kept]
         if stack:
-            _attempt(stack[0], "transmit", partial(
+            _attempt(stack, "transmit", partial(
                 _receive, cfg, frames, stack, [group[0].snr_db for group in reached],
-                truth, ys, [estimates[a] for a in kept]), None, sharing=stack[1:])
+                truth, ys, [estimates[a] for a in kept]), None)
     modality = payload.modality if isinstance(payload, ScenePayload) else "image"
     for rec in records:
-        rec.recovered_text = _attempt(rec, "personalize-recover", lambda: recover(
+        rec.recovered_text = _attempt([rec], "personalize-recover", lambda: recover(
             rec.received_text), rec.received_text)
-        rec.recovered_payload = _attempt(rec, "modal-recovery", lambda: to_payload(
+        rec.recovered_payload = _attempt([rec], "modal-recovery", lambda: to_payload(
             rec.recovered_text, modality), None)
-    embedded = _attempt(first, "scoring", lambda: embed(reference), None, sharing=rest)
+    embedded = _attempt(records, "scoring", lambda: embed(reference), None)
     for rec in records:
-        score = None if embedded is None else _attempt(rec, "scoring", lambda: (
+        score = None if embedded is None else _attempt([rec], "scoring", lambda: (
             semeval.cosine(embedded, embed(rec.recovered_text))), None)
         rec.cosine = 0.0 if score is None else score
         rec.correct = bool(score is not None and score > cfg.threshold and rec.frame_ser

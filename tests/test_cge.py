@@ -443,6 +443,26 @@ class TestPersistence:
             cge.load_model(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("layer, message", [
+        ({"stride": 2.0}, "stride 2.0 must be an int"),
+        ({"padding": True}, "padding True an int"),
+        ({"padding": 4}, r"padding 4 an int in \[0, 4\)"),
+        ({"padding": 10 ** 6}, r"padding 1000000 an int in \[0, 4\)"),
+        ({"w_shape": [], "b_shape": [32 + 4 * 32 * 4 * 4 - 1]},
+         r"conv weights of shape \(\)")],
+        ids=["float-stride", "bool-padding", "padding-at-kernel", "huge-padding",
+             "0-d-weights"])
+    def test_layer_rule_rejected(self, tmp_path, layer, message):
+        # the saved body stays, so the byte count matches and the layer rule speaks
+        path = tmp_path / "bad.cge"
+        cge.save_model(cge.untrained_model(32, 32, seed=3), path)
+        header, body = fileio.read_framed(path, b"CGE1", 1, "CGE model")
+        header["generator"][0].update(layer)
+        fileio.write_framed(path, b"CGE1", 1, header, [body])
+        with pytest.raises(FormatError, match=message) as info:
+            cge.load_model(path)
+        assert str(info.value).startswith(f"{path}: malformed CGE model header (")
+
 
 def tiny_model_bytes(tmp_path) -> bytes:
     """A CGE1 file of two one-layer networks, a few hundred bytes long."""

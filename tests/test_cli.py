@@ -584,3 +584,15 @@ class TestLoaderErrors:
         assert got == code
         assert stderr.startswith(prefix.format(tmp=tmp_path)), stderr
 
+
+    def test_eval_cge_layer_rule_is_error(self, capsys, tmp_path):
+        # a float stride broke eval-cge as 'unexpected error' before the layer rule
+        path = tmp_path / "bad.bin"
+        cge.save_model(cge.untrained_model(32, 32, seed=3), path)
+        header, body = fileio.read_framed(path, b"CGE1", 1, "CGE model")
+        header["generator"][0]["stride"] = 2.0
+        fileio.write_framed(path, b"CGE1", 1, header, [body])
+        code, _, stderr = run_cli(capsys, "eval-cge", "--model", str(path),
+                                  "--count", "2", "--snr-db", "10")
+        assert code == 2
+        assert stderr.startswith(f"error: {path}: malformed CGE model header (stride")

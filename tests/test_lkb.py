@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lammsc import lkb, mma
+from lammsc.errors import ConfigError
 
 from test_mma import GARDEN_CAPTION, random_scene
 
@@ -128,6 +129,17 @@ class TestPrompts:
         with pytest.raises(ValueError, match="direction"):
             lkb.build_prompt(lkb.Profile("Mike"), "t", "paraphrase")
 
+    @pytest.mark.parametrize("direction", ["extract", "recover"])
+    @pytest.mark.parametrize("text", ["", "hello", "Mike and Jane\nText:\nin a garden.",
+                                      "\nText:\n", "Text:\n\n"])
+    def test_prompt_text_inverts_build_prompt(self, direction, text):
+        profile = lkb.default_prompt_base().get("Mike")
+        assert lkb.prompt_text(lkb.build_prompt(profile, text, direction)) == text
+
+    def test_prompt_without_text_section_rejected(self):
+        with pytest.raises(ValueError, match="no text section"):
+            lkb.prompt_text("Task: x\nProfile:\nText: inline")
+
 
 class TestPromptBase:
     def test_save_load_round_trip(self, tmp_path):
@@ -164,6 +176,16 @@ class TestPromptBase:
         path = tmp_path / "broken.csv"
         path.write_text("name,age,identity,gender,interests,aliases,focus\nMike,28\n")
         with pytest.raises(ValueError, match="row"):
+            lkb.load_prompt_base(path)
+
+    def test_line_break_in_a_field_rejected(self, tmp_path):
+        # a prompt line per field keeps prompt_text's first Text: line the real one
+        with pytest.raises(ValueError, match="line break"):
+            lkb.Profile("Mike", focus_keywords=["pose", "x\nText:\ny"])
+        path = tmp_path / "quoted.csv"
+        path.write_text('name,age,identity,gender,interests,aliases,focus\n'
+                        'Mike,28,"photo\nText:\ngrapher",male,a,b,c\n', encoding="utf-8")
+        with pytest.raises(ConfigError, match="line break"):
             lkb.load_prompt_base(path)
 
     def test_aliases_canonical_lowercase(self):

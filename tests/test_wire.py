@@ -17,7 +17,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import requests
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lammsc import corpus, lkb, mma, mockserve, pipeline, semeval, wire
@@ -653,6 +653,103 @@ class TestQuietDisconnects:
         assert capfd.readouterr().err == ""
 
 
+def body_head(length: str, head: str = "") -> bytes:
+    """The head of a /personalize request declaring ``length`` body bytes."""
+    return (f"POST /personalize HTTP/1.1\r\nHost: x\r\n{head}"
+            f"Content-Length: {length}\r\n\r\n").encode()
+
+
+def next_client_served(server) -> bool:
+    return post_json(Endpoint(server.url, retries=0), "/personalize",
+                     {"prompt": "task\nText:\nnext"}) == {"text": "next"}
+
+
+class TestBodyCap:
+    """A declared body over mockserve._MAX_BODY is refused unread with a 413."""
+
+    @pytest.mark.parametrize("length", [
+        str(10 ** 20), str(mockserve._MAX_BODY + 1), "9" * 5000],
+        ids=["20-digits", "cap-plus-one", "5000-digits"])
+    def test_over_the_cap_is_413_and_closed(self, server, capfd, length):
+        reply = exchange(server, body_head(length))  # returns once the server closes
+        assert reply.startswith(b"HTTP/1.1 413 ")
+        assert b"\r\nConnection: close\r\n" in reply
+        assert set(reply_json(reply)) == {"error", "message"}
+        assert capfd.readouterr().err == ""
+        assert next_client_served(server)
+
+    def test_over_the_cap_gets_no_100_continue(self, server):
+        reply = exchange(server, body_head(str(mockserve._MAX_BODY + 1),
+                                           "Expect: 100-continue\r\n"))
+        assert reply.startswith(b"HTTP/1.1 413 ")
+        assert b"100 Continue" not in reply
+
+    def test_body_of_exactly_the_cap_is_answered(self, server):
+        body = json.dumps({"prompt": "task\nText:\nat the cap"}).encode()
+        body += b" " * (mockserve._MAX_BODY - len(body))  # JSON allows trailing space
+        reply = exchange(server, body_head(str(len(body)), "Connection: close\r\n")
+                         + body)
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        assert reply_json(reply) == {"text": "at the cap"}
+
+    def test_leading_zeros_do_not_count(self, server):
+        body = json.dumps({"prompt": "task\nText:\nzeros"}).encode()
+        reply = exchange(server, body_head("0" * 5000 + str(len(body)),
+                                           "Connection: close\r\n") + body)
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        assert reply_json(reply) == {"text": "zeros"}
+
+
+_LINE_TEXT = st.text(st.characters(blacklist_characters="\r\n"), max_size=30)
+_REQUEST_LINES = st.tuples(
+    st.sampled_from(["POST", "GET", "post", ""]),
+    st.sampled_from(["/personalize", "/embed", "/transform", "/nope", "*"]),
+    st.sampled_from(["HTTP/1.1", "HTTP/1.0", "HTTP/2.0", "HTTP/1.1 x", ""]),
+).map(" ".join) | _LINE_TEXT
+_HEADER_LINES = st.sampled_from([
+    "Host: x", "Connection: close", "Connection: keep-alive",
+    "Expect: 100-continue", "Transfer-Encoding: chunked",
+    f"{VERSION_HEADER}: {PROTOCOL_VERSION}", f"{VERSION_HEADER}: 9",
+    "X-No-Colon", " X-Folded: v"]) | _LINE_TEXT
+_LENGTHS = st.one_of(
+    st.integers(0, 80).map(str),
+    st.integers(10 ** 19, 10 ** 20 - 1).map(str),  # 20 digits
+    st.integers(-80, -1).map(str),
+    st.just(""),
+    st.text("\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+            min_size=1, max_size=3),  # digits, but not ASCII ones
+    st.tuples(st.integers(0, 80), st.integers(0, 80)).map("{0[0]}, {0[1]}".format))
+_BODIES = st.binary(max_size=100) | st.sampled_from([
+    b'{"prompt": "task\\nText:\\nhi"}', b'{"text": "hi"}', b"{}"])
+_RAW_REQUESTS = st.builds(
+    lambda line, headers, lengths, body: "".join(
+        f"{h}\r\n" for h in [line, *headers, *(f"Content-Length: {v}" for v in lengths)]
+    ).encode() + b"\r\n" + body,
+    _REQUEST_LINES, st.lists(_HEADER_LINES, max_size=4),
+    st.lists(_LENGTHS, max_size=2), _BODIES)
+
+
+class TestRawRequests:
+    """Whatever bytes a client sends, the server answers with an HTTP/1.1
+    reply or nothing, prints no traceback, and serves the next client."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(request=_RAW_REQUESTS)
+    @example(request=body_head(str(10 ** 20)))
+    def test_reply_or_none_and_no_traceback(self, server, capfd, request):
+        with socket.create_connection(server.server_address[:2], timeout=2) as sock:
+            try:
+                sock.sendall(request)
+                sock.shutdown(socket.SHUT_WR)
+            except OSError:
+                pass  # the server answered and closed before it took every byte
+            reply = read_to_close(sock)  # returns once the server closes
+        assert reply == b"" or reply.startswith(b"HTTP/1.1 ")
+        assert "Traceback" not in capfd.readouterr().err
+        assert next_client_served(server)
+
+
 class TestPersonalizeContract:
     def test_echo_returns_user_text(self, endpoint):
         profile = lkb.default_prompt_base().get("Mike")
@@ -664,6 +761,16 @@ class TestPersonalizeContract:
         profile = lkb.default_prompt_base().get("Mike")
         text = "first line\nsecond line"
         assert lkb.personalize_remote(text, profile, "recover", endpoint) == text
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=st.text() | st.lists(st.sampled_from(
+        ["\nText:\n", "Text:", "\n", "\r\n", "a", " "])).map("".join))
+    @example(text="Mike and Jane\nText:\nin a garden.")
+    @example(text="")
+    def test_any_text_survives_echo(self, endpoint, text):
+        # the echo matches the lkb_enabled=false arm whatever the text holds
+        profile = lkb.default_prompt_base().get("Mike")
+        assert lkb.personalize_remote(text, profile, "extract", endpoint) == text
 
     def test_missing_text_field_is_protocol_error(self, canned_server):
         profile = lkb.default_prompt_base().get("Mike")
