@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import functools
 import glob
 import math
 import os
@@ -261,8 +260,15 @@ def _lane_slices(n: int) -> list[slice]:
 
 
 def _lane_sum(grads) -> list[np.ndarray]:
-    """Per-parameter sum of the lanes' gradient lists, in lane order."""
-    return [functools.reduce(np.add, per_lane) for per_lane in zip(*grads)]
+    """Per-parameter sum of gradient lists (the lanes', or a lane's two
+    discriminator passes) in list order, added into the first list's arrays,
+    which it returns: ``np.add(a, b, out=a)`` has the bytes of ``a + b``
+    without a third array."""
+    first, *rest = grads
+    for other in rest:
+        for a, b in zip(first, other):
+            np.add(a, b, out=a)
+    return first
 
 
 def _critic_lane(gen: nn.Sequential, disc: nn.Sequential, conds, gains, n: int):
@@ -273,16 +279,18 @@ def _critic_lane(gen: nn.Sequential, disc: nn.Sequential, conds, gains, n: int):
     fake = gen.forward(conds, record=True)
     p_real, (_, grads_real) = _disc_pass(disc, conds, gains, 1.0, n, input_grad=False)
     p_fake, (_, grads_fake) = _disc_pass(disc, conds, fake, 0.0, n, input_grad=False)
-    return fake, p_real, p_fake, [a + b for a, b in zip(grads_real, grads_fake)]
+    return fake, p_real, p_fake, _lane_sum((grads_real, grads_fake))
 
 
 def _generator_lane(gen: nn.Sequential, disc: nn.Sequential, conds, gains, n: int,
                     fake, lam: np.float32):
     """Phase 2 of a lane: fool the updated discriminator (target 1) and stay
     close to the true gains in L1, weighted by ``lam``, back through the
-    generator pass of phase 1. Returns (adversarial scores, generator grads)."""
-    p_adv, (dx, _) = _disc_pass(disc, conds, fake, 1.0, n, param_grads=False)
-    dfake = dx[:, CONDITION_CHANNELS:] + lam * nn.l1_grad(fake, gains, n * fake[0].size)
+    generator pass of phase 1. Only the gain channels' input gradient of the
+    discriminator is taken. Returns (adversarial scores, generator grads)."""
+    p_adv, (dx, _) = _disc_pass(disc, conds, fake, 1.0, n, param_grads=False,
+                                input_grad=slice(CONDITION_CHANNELS, None))
+    dfake = dx + lam * nn.l1_grad(fake, gains, n * fake[0].size)
     return p_adv, gen.backward(dfake, input_grad=False)[1]
 
 
@@ -299,9 +307,10 @@ def train_cgan(dataset, hyper: TrainConfig | None = None, seed: int = 0,
     own ``Sequential`` pair over the model's layers, in two phases: generator
     forward and the real and fake discriminator passes, then the adversarial
     pass and the generator backward. After each phase the lanes' gradients
-    are summed in lane order for one Adam step: the full batch's gradient up
-    to float order. The lanes run in two threads with OpenBLAS pinned to 1
-    thread (``_lane_runner``), or one after the other with the same bytes.
+    are summed in lane order into lane 0's arrays for one Adam step (the full
+    batch's gradient up to float order), and released after it. The lanes run
+    in two threads with OpenBLAS pinned to 1 thread (``_lane_runner``), or one
+    after the other with the same bytes.
     """
     hyper = hyper or TrainConfig()
     rows, cols = dataset[0][1].shape if len(dataset) else (0, 0)
@@ -335,12 +344,14 @@ def train_cgan(dataset, hyper: TrainConfig | None = None, seed: int = 0,
                 fakes, p_real, p_fake, d_grads = zip(*run(_critic_lane, lanes))
                 d_loss = _bce(p_real, 1.0) + _bce(p_fake, 0.0)
                 nn.adam_step(disc.parameters(), _lane_sum(d_grads), d_state)
+                del d_grads  # not alive through phase 2
 
                 p_adv, g_grads = zip(*run(_generator_lane, [
                     (*lane, fake, lam) for lane, fake in zip(lanes, fakes)]))
                 l1 = nn.l1_loss(np.concatenate(fakes), gains)
                 g_loss = _bce(p_adv, 1.0) + float(lam) * l1
                 nn.adam_step(gen.parameters(), _lane_sum(g_grads), g_state)
+                del g_grads  # not alive through the next batch's phase 1
 
                 if not (np.isfinite(d_loss) and np.isfinite(g_loss)):
                     raise TrainingError(f"non-finite loss at epoch {epoch}, step "
@@ -457,6 +468,10 @@ def load_model(path) -> CganModel:
         values = np.frombuffer(body, dtype="<f4")
         if not np.isfinite(values).all():
             raise FormatError(f"{path}: non-finite weight data")
+        # a copy per array, not a view: in the file's read buffer the body
+        # starts at byte 9 + header length, so float32 views of it may be
+        # misaligned, and numpy's matmul sums misaligned operands another
+        # way (a 16x16 model's batch-1 estimate changed bytes)
         arrays = (a.reshape(shape).copy() for a, shape in
                   zip(np.split(values, np.cumsum(sizes[:-1])), shapes))
         gen, disc = (nn.Sequential([nn.LayerParams(

@@ -46,6 +46,14 @@ class TokenStream:
             raise ValueError("token stream must contain exactly one terminator, "
                              "at the end")
 
+    @classmethod
+    def _trusted(cls, tokens: np.ndarray, missing_terminator: bool) -> TokenStream:
+        """A stream of uint16 tokens that already end in their one terminator,
+        built without ``__post_init__``'s check."""
+        ts = object.__new__(cls)
+        ts.tokens, ts.missing_terminator = tokens, missing_terminator
+        return ts
+
     def payload(self) -> np.ndarray:
         return self.tokens[:-1]
 
@@ -109,7 +117,7 @@ def demodulate(symbols: np.ndarray, repetition: int = 1) -> list[TokenStream]:
     values[:, :-1] = bits.reshape(n_rows, n_tokens, BITS_PER_TOKEN) @ _BIT_WEIGHTS
     ends = np.argmax(values == TERMINATOR, axis=1)
     tokens = np.where(values == TERMINATOR, TERMINATOR, values & 0xFF).astype(np.uint16)
-    return [TokenStream(row[:end + 1], missing_terminator=bool(end == n_tokens))
+    return [TokenStream._trusted(row[:end + 1], bool(end == n_tokens))
             for row, end in zip(tokens, ends)]
 
 

@@ -48,6 +48,18 @@ round-to-nearest sum that starts at +0.0 never becomes -0.0, and adding
 +0.0 to it changes nothing, so the zeroed columns and the skipped ends of a
 shifted tap leave every output cell with the bytes of the scatter-add. One
 strided copy per phase then interleaves the planes into (C, N, H, W).
+
+The tape. A recorded forward keeps one entry per layer: its pre-activation z
+and its kernel's cache, which is the input shape and patch matrix of a conv
+layer and the input of a deconv or dense layer. A training step's peak
+memory is set by which of these are alive at once (Chen et al. 2016,
+arXiv:1604.06174), so each dies after its last reader.
+``Sequential.backward`` takes the tape off the chain when it starts and
+hands each layer its own entry, last layer first, which the layer empties:
+z dies once the activation gradient is taken, a conv patch matrix once the
+dw product has read it (before the dx product and col2im run), and a deconv
+or dense input when its layer's backward returns. The arithmetic and its
+order are the same as with the whole tape kept to the end.
 """
 
 from __future__ import annotations
@@ -269,7 +281,11 @@ def _col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int) -> np.ndar
 # x -> W @ im2col(x) and its adjoint d -> col2im(W.T @ d). A deconv holding
 # the same array applies them the other way round. A forward runs its map
 # one GEMM per sample; a backward product is one GEMM over the whole batch.
-# Each backward returns (dx, dw, db), with None for a product not asked for.
+# Each backward pops its forward's cache from the layer's tape entry, takes
+# ``channels``, the slice of input channels whose dx it returns, or None for
+# no dx, and returns (dx, dw, db), with None for a product not asked for. A
+# channel slice multiplies only those channels' weights, whose rows of the
+# product are the full dx's rows for them.
 
 def _conv_forward(p: LayerParams, x: np.ndarray):
     o, _, k, _ = p.weights.shape
@@ -280,17 +296,19 @@ def _conv_forward(p: LayerParams, x: np.ndarray):
     return z.reshape(o, n, oh, ow), (x.shape, cols)
 
 
-def _conv_backward(p: LayerParams, cache, dz: np.ndarray, input_grad: bool,
+def _conv_backward(p: LayerParams, entry: list, dz: np.ndarray, channels,
                    param_grads: bool):
-    x_shape, cols = cache
-    wmat = p.weights.reshape(p.weights.shape[0], -1)
-    d = dz.reshape(wmat.shape[0], -1)
+    x_shape, cols = entry.pop()
+    d = dz.reshape(p.weights.shape[0], -1)
     dx = dw = db = None
     if param_grads:
         dw = (d @ cols.T).reshape(p.weights.shape)
         db = _bias_grad(d, x_shape[1])
-    if input_grad:
-        dx = _col2im(wmat.T @ d, x_shape, p.kernel_size, p.stride, p.padding)
+    del cols  # the dx product and col2im run without the patch matrix
+    if channels is not None:
+        w = p.weights[:, channels]
+        dx = _col2im(w.reshape(w.shape[0], -1).T @ d, (w.shape[1],) + x_shape[1:],
+                     p.kernel_size, p.stride, p.padding)
     return dx, dw, db
 
 
@@ -307,8 +325,9 @@ def _deconv_forward(p: LayerParams, x: np.ndarray):
     return z, x
 
 
-def _deconv_backward(p: LayerParams, x, dz: np.ndarray, input_grad: bool,
+def _deconv_backward(p: LayerParams, entry: list, dz: np.ndarray, channels,
                      param_grads: bool):
+    x = entry.pop()
     ci = x.shape[0]
     wmat = p.weights.reshape(ci, -1)
     cols_dz, _, _ = _im2col(dz, p.kernel_size, p.stride, p.padding)
@@ -316,8 +335,8 @@ def _deconv_backward(p: LayerParams, x, dz: np.ndarray, input_grad: bool,
     if param_grads:
         dw = (x.reshape(ci, -1) @ cols_dz.T).reshape(p.weights.shape)
         db = _bias_grad(dz.reshape(dz.shape[0], -1), dz.shape[1])
-    if input_grad:
-        dx = (wmat @ cols_dz).reshape(x.shape)
+    if channels is not None:
+        dx = (wmat[channels] @ cols_dz).reshape((-1,) + x.shape[1:])
     return dx, dw, db
 
 
@@ -327,14 +346,15 @@ def _dense_forward(p: LayerParams, x: np.ndarray):
     return z, x
 
 
-def _dense_backward(p: LayerParams, x, dz: np.ndarray, input_grad: bool,
+def _dense_backward(p: LayerParams, entry: list, dz: np.ndarray, channels,
                     param_grads: bool):
+    x = entry.pop()
     dx = dw = db = None
     if param_grads:
         dw = dz @ x.T
         db = _bias_grad(dz, dz.shape[1])
-    if input_grad:
-        dx = p.weights.T @ dz
+    if channels is not None:
+        dx = p.weights[:, channels].T @ dz
     return dx, dw, db
 
 
@@ -349,14 +369,15 @@ def _layer_forward(p: LayerParams, x: np.ndarray, record: bool):
                          f"{(x.shape[1], x.shape[0]) + x.shape[2:]})")
     z, cache = _FORWARD[p.kind](p, x)
     y = activate(p.activation, z, p.slope)
-    return y, ((cache, z) if record else None)
+    return y, ([cache, z] if record else None)
 
 
-def _layer_backward(p: LayerParams, cache, dy: np.ndarray, input_grad: bool,
+def _layer_backward(p: LayerParams, entry: list, dy: np.ndarray, channels,
                     param_grads: bool):
-    inner, z = cache
-    dz = _activate_grad(p.activation, z, dy, p.slope)
-    return _BACKWARD[p.kind](p, inner, dz, input_grad, param_grads)
+    """Backward of one layer from its tape entry [cache, z], which it empties,
+    so the caller's reference to the entry keeps none of its arrays alive."""
+    dz = _activate_grad(p.activation, entry.pop(), dy, p.slope)
+    return _BACKWARD[p.kind](p, entry, dz, channels, param_grads)
 
 
 def _swap_batch(x: np.ndarray) -> np.ndarray:
@@ -409,53 +430,70 @@ def l1_grad(a: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# feed-forward chain with recorded caches
+# feed-forward chain with a recorded tape
 
 class Sequential:
     """Ordered chain of layers with explicit forward/backward.
 
-    ``forward(x, record=True)`` stores the per-layer inputs needed by
-    ``backward``; a backward call without a recorded forward is rejected.
-    A ``forward`` without ``record`` leaves the stored inputs alone, so
-    inference may run between a recorded forward and its backward.
+    ``forward(x, record=True)`` stores the tape: per layer, the arrays
+    ``backward`` needs, plus the output's shape. A backward call without a
+    recorded forward is rejected. A ``forward`` without ``record`` leaves the
+    tape alone, so inference may run between a recorded forward and its
+    backward.
 
-    The recorded inputs belong to this ``Sequential``, the parameters to its
+    ``backward`` checks ``dy`` against the recorded output's shape, then
+    takes the tape off the chain and frees each layer's arrays after their
+    last reader (see the module docstring). A rejected ``dy`` leaves the tape
+    in place; an error part-way through the backward leaves none, as a
+    finished backward does.
+
+    The tape belongs to this ``Sequential``, the parameters to its
     ``LayerParams``. Two threads therefore train one network through two
-    ``Sequential``s over the same layers: each keeps its own recorded
-    inputs, and an in-place update of the shared arrays reaches both.
+    ``Sequential``s over the same layers: each keeps its own tape, and an
+    in-place update of the shared arrays reaches both.
     """
 
     def __init__(self, layers):
         self.layers: list[LayerParams] = list(layers)
-        self._caches = None
+        self._tape = None  # (output shape, one entry per layer) of a recorded forward
 
     def forward(self, x: np.ndarray, record: bool = False) -> np.ndarray:
-        caches = []
+        entries = []
         y = _swap_batch(np.asarray(x, dtype=np.float32))
         for p in self.layers:
-            y, cache = _layer_forward(p, y, record)
-            caches.append(cache)
+            y, entry = _layer_forward(p, y, record)
+            entries.append(entry)
+        y = _swap_batch(y)
         if record:
-            self._caches = caches
-        return _swap_batch(y)
+            self._tape = (y.shape, entries)
+        return y
 
-    def backward(self, dy: np.ndarray, *, input_grad: bool = True,
+    def backward(self, dy: np.ndarray, *, input_grad: bool | slice = True,
                  param_grads: bool = True):
-        """Return (dx, grads); grads align with parameters(). Consumes the cache.
+        """Return (dx, grads); grads align with parameters(). Consumes the tape.
 
-        ``input_grad=False`` skips the first layer's input gradient and
-        ``param_grads=False`` every weight and bias gradient; a skipped
-        product comes back as None.
+        ``dy`` must have the recorded output's shape (ShapeError otherwise).
+        ``input_grad=False`` skips the first layer's input gradient, and a
+        ``slice`` of its input channels returns dx for those channels only,
+        with the bytes of the full dx's slice. ``param_grads=False`` skips
+        every weight and bias gradient; a skipped product comes back as None.
         """
-        if self._caches is None:
+        if self._tape is None:
             raise RuntimeError("backward called without a recorded forward pass")
+        shape, entries = self._tape
+        d = np.asarray(dy, dtype=np.float32)
+        if d.shape != shape:
+            raise ShapeError(f"backward: dy of shape {d.shape} does not match the "
+                             f"recorded output's shape {shape}")
+        self._tape = None
+        first = input_grad if isinstance(input_grad, slice) else (
+            slice(None) if input_grad else None)
         grads: list[np.ndarray] = []
-        d = _swap_batch(np.asarray(dy, dtype=np.float32))
+        d = _swap_batch(d)
         for i in reversed(range(len(self.layers))):
-            d, dw, db = _layer_backward(self.layers[i], self._caches[i], d,
-                                        input_grad or i > 0, param_grads)
+            d, dw, db = _layer_backward(self.layers[i], entries.pop(), d,
+                                        first if i == 0 else slice(None), param_grads)
             grads += [db, dw]
-        self._caches = None
         grads.reverse()
         return (None if d is None else _swap_batch(d),
                 grads if param_grads else None)

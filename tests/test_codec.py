@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -202,6 +203,32 @@ class TestDemodulate:
         want, = codec.demodulate(codec.hard_decide(symbols))
         assert got.tokens.tolist() == want.tokens.tolist()
         assert got.missing_terminator == want.missing_terminator
+
+    @given(st.text(max_size=60), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_streams_pass_the_public_check(self, text, repetition, seed):
+        """demodulate builds its streams without TokenStream's check; each
+        passes it and equals the checked stream field by field. The stack's
+        rows are the clean symbols, sign flips, NaNs, a zeroed end and noise."""
+        rng = np.random.default_rng(seed)
+        clean = codec.modulate(codec.tokenize(text), repetition)
+        rows = np.tile(clean, (5, 1))
+        flips = rng.random(clean.size) < 0.1
+        rows[1, flips] = -rows[1, flips]
+        rows[2, rng.random(clean.size) < 0.1] = np.nan
+        rows[3, -rng.integers(1, 5 * repetition + 1):] = 0
+        rows[4] = rng.standard_normal(clean.size) + 1j * rng.standard_normal(clean.size)
+        with np.errstate(invalid="ignore"):
+            streams = codec.demodulate(rows.reshape(5, 1, -1), repetition)
+        for got in streams:
+            checked = codec.TokenStream(got.tokens,
+                                        missing_terminator=got.missing_terminator)
+            for f in dataclasses.fields(codec.TokenStream):
+                a, b = getattr(got, f.name), getattr(checked, f.name)
+                assert type(a) is type(b)
+                assert np.asarray(a).dtype == np.asarray(b).dtype
+                assert np.array_equal(a, b)
 
     def test_single_flip_outvoted_with_repetition_three(self):
         ts = codec.tokenize("Q")

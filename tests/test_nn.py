@@ -1,9 +1,11 @@
+import contextlib
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from lammsc import nn
+from lammsc import cge, nn
 from lammsc.errors import ShapeError, TrainingError
 
 from helpers import check_grad, fd_gradient, reference_layer, rel_err
@@ -272,6 +274,85 @@ class TestBackward:
         else:
             assert grads is None
 
+    @pytest.mark.parametrize("dy_shape", [(1, 4, 8, 8), (4, 8, 8)],
+                             ids=["broadcastable", "unbatched"])
+    def test_mis_shaped_dy_rejected_and_the_tape_kept(self, dy_shape):
+        rng = np.random.default_rng(23)
+        net = nn.Sequential([make_layer("conv", 3, 4, 3, 1, 1, "leaky_relu", seed=23)])
+        x = rng.standard_normal((5, 3, 8, 8)).astype(np.float32)
+        dy = rng.standard_normal((5, 4, 8, 8)).astype(np.float32)
+        net.forward(x, record=True)
+        dx_ref, grads_ref = net.backward(dy)
+        net.forward(x, record=True)
+        with pytest.raises(ShapeError, match=r"\(5, 4, 8, 8\)") as info:
+            net.backward(np.ones(dy_shape, np.float32))
+        assert str(dy_shape) in str(info.value)
+        dx, grads = net.backward(dy)  # the retry finds the tape in place
+        assert dx.tobytes() == dx_ref.tobytes()
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in grads_ref]
+
+    def test_error_part_way_leaves_no_tape(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        net = nn.Sequential([make_layer("conv", 2, 3, 3, 1, 1, "relu", seed=24),
+                             make_layer("conv", 3, 2, 3, 1, 1, seed=25)])
+        x = rng.standard_normal((2, 2, 6, 6)).astype(np.float32)
+        dy = np.ones(net.forward(x, record=True).shape, np.float32)
+
+        def fail(*args):
+            raise ArithmeticError("in the last layer's dx")
+
+        monkeypatch.setattr(nn, "_col2im", fail)
+        with pytest.raises(ArithmeticError):
+            net.backward(dy)
+        monkeypatch.undo()
+        with pytest.raises(RuntimeError, match="forward"):
+            net.backward(dy)
+
+    @pytest.mark.parametrize("one_blas_thread", [False, True], ids=["blas-default",
+                                                                    "blas-1"])
+    @pytest.mark.parametrize("batch", [1, 3, 8, 16])
+    @pytest.mark.parametrize("in_ch, k, stride, pad, size, channels", [
+        (6, 4, 2, 1, 32, slice(4, None)),  # the discriminator's first layer
+        (6, 4, 2, 1, 16, slice(4, None)),
+        (5, 3, 1, 1, 7, slice(0, 2)),
+        (4, 3, 2, 0, 9, slice(1, 4, 2)),
+    ], ids=["disc32", "disc16", "k3-head", "k3-strided"])
+    def test_input_channel_slice_is_the_full_dx_slice(self, in_ch, k, stride, pad,
+                                                      size, channels, batch,
+                                                      one_blas_thread):
+        rng = np.random.default_rng(batch * 100 + size)
+        net = nn.Sequential([make_layer("conv", in_ch, 8, k, stride, pad, "relu",
+                                        seed=size),
+                             make_layer("conv", 8, 3, 3, 1, 1, seed=size + 1)])
+        x = rng.standard_normal((batch, in_ch, size, size)).astype(np.float32)
+        dy = rng.standard_normal(net.forward(x).shape).astype(np.float32)
+        blas = cge._openblas()
+        if one_blas_thread and blas is None:
+            pytest.skip("numpy's BLAS does not expose its thread count")
+        with cge._blas_pinned(*blas) if one_blas_thread else contextlib.nullcontext():
+            net.forward(x, record=True)
+            dx_full, grads_full = net.backward(dy)
+            net.forward(x, record=True)
+            dx, grads = net.backward(dy, input_grad=channels)
+        assert dx.shape == dx_full[:, channels].shape
+        assert dx.tobytes() == np.ascontiguousarray(dx_full[:, channels]).tobytes()
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in grads_full]
+
+    @pytest.mark.parametrize("kind", ["deconv", "dense"])
+    def test_input_channel_slice_of_deconv_and_dense(self, kind):
+        rng = np.random.default_rng(26)
+        if kind == "dense":
+            net = nn.Sequential([nn.dense_layer(6, 4, "leaky_relu", rng=rng)])
+            x = rng.standard_normal((5, 6)).astype(np.float32)
+        else:
+            net = nn.Sequential([make_layer("deconv", 6, 3, 4, 2, 1, seed=26)])
+            x = rng.standard_normal((5, 6, 4, 4)).astype(np.float32)
+        dy = rng.standard_normal(net.forward(x, record=True).shape).astype(np.float32)
+        dx_full, _ = net.backward(dy)
+        net.forward(x, record=True)
+        dx, _ = net.backward(dy, input_grad=slice(4, None))
+        assert dx.tobytes() == np.ascontiguousarray(dx_full[:, 4:]).tobytes()
+
     def test_constant_loss_zero_gradients(self):
         rng = np.random.default_rng(11)
         net = nn.Sequential([make_layer("conv", 2, 3, 3, 1, 1, "leaky_relu", seed=11)])
@@ -355,6 +436,36 @@ class TestBackward:
         for idx in (0, 3, 7):
             fd = fd_gradient(lambda: nn.bce_loss(pred, target), pred, idx, eps=1e-3)
             assert rel_err(float(grad[idx]), fd) < 1e-2
+
+
+class TestTape:
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_patch_matrices_die_before_their_dx(self, monkeypatch, input_grad):
+        """Each conv layer's patch matrix is dead when col2im sums that layer's
+        dx, and every one is dead once backward returns."""
+        rng = np.random.default_rng(27)
+        net = nn.Sequential(cge.build_discriminator(32, 32, seed=27))
+        x = rng.standard_normal((8, 6, 32, 32)).astype(np.float32)
+        patches, summed = {}, []
+        im2col, col2im = nn._im2col, nn._col2im
+
+        def recording_im2col(x, *args):
+            out = im2col(x, *args)
+            patches[x.shape] = weakref.ref(out[0])
+            return out
+
+        def checking_col2im(cols, x_shape, *args):
+            assert patches[x_shape]() is None, f"patch matrix of {x_shape} alive"
+            summed.append(x_shape)
+            return col2im(cols, x_shape, *args)
+
+        monkeypatch.setattr(nn, "_im2col", recording_im2col)
+        monkeypatch.setattr(nn, "_col2im", checking_col2im)
+        dy = np.ones(net.forward(x, record=True).shape, np.float32)
+        assert len(patches) == 4
+        net.backward(dy, input_grad=input_grad)
+        assert len(summed) == (4 if input_grad else 3)
+        assert all(ref() is None for ref in patches.values())
 
 
 class TestAdam:
