@@ -19,7 +19,6 @@ from . import cge, channel, corpus, pipeline
 from .errors import ConfigError, LamMscError
 from .fileio import atomic_open, check_writable
 from .mma import ScenePayload, scene_from_json, scene_to_json
-from .mockserve import MockServer
 
 
 def _parse_bool(value: str) -> bool:
@@ -207,6 +206,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_mock_serve(args) -> int:
+    from .mockserve import MockServer  # the one command that serves HTTP
+
     if not 0 <= args.port <= 65535:
         raise ConfigError(f"--port must be in 0..65535, got {args.port}")
     try:

@@ -25,12 +25,16 @@ BACKGROUNDS = ("a garden", "a beach", "a park", "a snowy street",
                "a sunny meadow", "a quiet library")
 
 
+def _pick(rng: np.random.Generator, pool: tuple[str, ...], size: int) -> list[str]:
+    """``size`` distinct items of ``pool``, drawn as ``rng.choice(pool, size,
+    replace=False)`` draws them, without building numpy string arrays."""
+    return [pool[i] for i in rng.choice(len(pool), size=size, replace=False)]
+
+
 def _attrs(rng: np.random.Generator) -> list[str]:
     n_has = int(rng.integers(0, 3))
     n_wear = int(rng.integers(0, 3))
-    out = list(rng.choice(HAS_ATTRS, size=n_has, replace=False))
-    out += list(rng.choice(WEAR_ATTRS, size=n_wear, replace=False))
-    return out
+    return _pick(rng, HAS_ATTRS, n_has) + _pick(rng, WEAR_ATTRS, n_wear)
 
 
 def synthetic_corpus(count: int, seed: int = 0) -> list[ScenePayload]:
@@ -40,10 +44,11 @@ def synthetic_corpus(count: int, seed: int = 0) -> list[ScenePayload]:
     for _ in range(count):
         entities = [("a boy", _attrs(rng)), ("a girl", _attrs(rng))]
         if rng.random() < 0.3:
-            entities.append((str(rng.choice(DESCRIPTOR_POOL)), _attrs(rng)))
+            entities.append((DESCRIPTOR_POOL[rng.integers(len(DESCRIPTOR_POOL))],
+                             _attrs(rng)))
         scenes.append(canonical_scene(ScenePayload(
-            "image", entities, str(rng.choice(BACKGROUNDS)),
-            str(rng.choice(POSES)))))
+            "image", entities, BACKGROUNDS[rng.integers(len(BACKGROUNDS))],
+            POSES[rng.integers(len(POSES))])))
     return scenes
 
 

@@ -458,6 +458,8 @@ class Sequential:
         self._tape = None  # (output shape, one entry per layer) of a recorded forward
 
     def forward(self, x: np.ndarray, record: bool = False) -> np.ndarray:
+        if record:  # a forward that fails part-way leaves no older tape behind
+            self._tape = None
         entries = []
         y = _swap_batch(np.asarray(x, dtype=np.float32))
         for p in self.layers:

@@ -12,22 +12,23 @@ per server and thread, not one per call; at most ``MAX_HOSTS`` stay open per
 thread, and they close when the thread ends. The proxy, CA bundle and netrc
 credentials are read from the environment as ``requests`` reads them, once
 when a connection opens: a variable changed mid-run applies to new
-connections only. ``requests`` is used for nothing else; the import stays
-while ``perfbench``'s tracer patches ``wire.requests.post``.
+connections only. ``requests`` is used for nothing else.
+
+The transport (``http.client``, ``ssl`` and ``requests``) loads on a run's
+first connection, not at import, so a run on mock backends never loads it.
+``wire.requests`` resolves lazily, through the module ``__getattr__``, only
+because ``perfbench``'s tracer patches ``wire.requests.post``; ROADMAP items
+2 and 3 (the tracer repair, then dropping ``requests``) remove it.
 """
 
 from __future__ import annotations
 
 import base64
-import http.client
 import json
 import os
-import ssl
 import threading
 from dataclasses import dataclass
 from urllib.parse import urlsplit
-
-import requests
 
 from .errors import ProtocolError, RemoteServiceError, TransportError
 from .fileio import json_object
@@ -42,6 +43,15 @@ MAX_HOSTS = 10  # connections a thread keeps open, as urllib3's pool manager
 MAX_TIMEOUT_MS = 2 ** 31 - 1
 
 _local = threading.local()
+
+
+def __getattr__(name: str):
+    """``wire.requests``, imported on first use; for the benchmark tracer only
+    (PEP 562)."""
+    if name == "requests":
+        import requests
+        return requests
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -82,6 +92,11 @@ class _Route:
 def _open(url: str) -> _Route:
     """A new connection for ``url``'s scheme and host, with the proxy, CA
     bundle and credentials the environment gives it now."""
+    import http.client
+    import ssl
+
+    import requests
+
     parts = urlsplit(url)
     hostport = parts.netloc.rpartition("@")[2]
     utils = requests.utils
@@ -139,6 +154,8 @@ def post_json(ep: Endpoint, path: str, body: dict) -> dict:
     resent once on a new connection without using up an attempt; every route
     is a pure function of its body, so the resend is safe.
     """
+    import http.client
+
     url = ep.base_url.rstrip("/") + path
     parts = urlsplit(url)
     key = (parts.scheme, parts.netloc)

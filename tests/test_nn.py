@@ -230,6 +230,16 @@ class TestBackward:
         with pytest.raises(RuntimeError, match="forward"):
             net.backward(np.zeros((1, 1, 4, 4), np.float32))
 
+    def test_failed_recorded_forward_leaves_no_tape(self):
+        """A recorded forward that raises part-way drops the older tape, so a
+        backward cannot run against the inputs of an earlier forward."""
+        net = nn.Sequential([make_layer("conv", 2, 3, 3, 1, 1)])
+        net.forward(np.ones((2, 2, 6, 6), np.float32), record=True)
+        with pytest.raises(ShapeError):
+            net.forward(np.ones((2, 5, 6, 6), np.float32), record=True)
+        with pytest.raises(RuntimeError, match="forward"):
+            net.backward(np.ones((2, 3, 6, 6), np.float32))
+
     def test_inference_between_forward_and_backward(self):
         rng = np.random.default_rng(12)
         net = nn.Sequential([make_layer("conv", 2, 3, 3, 1, 1, "leaky_relu", seed=12),

@@ -840,6 +840,29 @@ class TestCorpus:
     def test_generation_deterministic(self):
         assert corpus.synthetic_corpus(20, seed=4) == corpus.synthetic_corpus(20, seed=4)
 
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2 ** 62])
+    def test_index_draws_match_string_draws(self, seed):
+        """``synthetic_corpus`` draws pool indices; the scenes equal those of
+        the earlier draws over numpy string arrays."""
+        rng = np.random.default_rng(seed)
+
+        def attrs():
+            n_has = int(rng.integers(0, 3))
+            n_wear = int(rng.integers(0, 3))
+            out = list(rng.choice(corpus.HAS_ATTRS, size=n_has, replace=False))
+            out += list(rng.choice(corpus.WEAR_ATTRS, size=n_wear, replace=False))
+            return out
+
+        reference = []
+        for _ in range(200):
+            entities = [("a boy", attrs()), ("a girl", attrs())]
+            if rng.random() < 0.3:
+                entities.append((str(rng.choice(corpus.DESCRIPTOR_POOL)), attrs()))
+            reference.append(corpus.canonical_scene(corpus.ScenePayload(
+                "image", entities, str(rng.choice(corpus.BACKGROUNDS)),
+                str(rng.choice(corpus.POSES)))))
+        assert corpus.synthetic_corpus(200, seed=seed) == reference
+
 
 class TestSeeds:
     def test_derive_seed_stable_and_distinct(self):

@@ -2,9 +2,13 @@ import base64
 import gc
 import http.client
 import json
+import os
+import pathlib
 import socket
+import ssl
 import statistics
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -412,13 +416,13 @@ class TestTransport:
             (tmp_path / file).write_text("")
             clean_env.setenv(name, str(tmp_path / file))
         seen = []
-        create = wire.ssl.create_default_context
+        create = ssl.create_default_context
 
         def recording(**kwargs):
             seen.append(kwargs)
             return create()
 
-        clean_env.setattr(wire.ssl, "create_default_context", recording)
+        clean_env.setattr(ssl, "create_default_context", recording)
         with pytest.raises(TransportError):  # nothing listens on port 1
             on_new_thread(post_json, Endpoint("https://127.0.0.1:1", retries=0),
                           "/embed", {"text": "hi"})
@@ -474,6 +478,41 @@ class TestEndpoint:
 
         want = post_json(fast, "/embed", {"text": "bound"})
         assert on_new_thread(posts) == [want] * 3
+
+
+_MOCK_RUN = """
+import sys
+from lammsc import cli, corpus, pipeline
+scenes = corpus.synthetic_corpus(2, seed=3)
+cfg = pipeline.PipelineConfig(snr_db=[10.0],
+                              estimators=["perfect", "ls", "none"]).validate()
+assert len(pipeline.sweep(cfg, scenes).rows) == 3
+rec = pipeline.run_pipeline(scenes[0], cfg, *pipeline.load_profiles(cfg))
+assert rec.frame_ser, "nothing was sent"
+print(" ".join(m for m in sys.argv[1:] if m in sys.modules))
+from lammsc import wire
+assert wire.requests is sys.modules["requests"]
+"""
+
+
+class TestLazyTransport:
+    def test_mock_run_loads_no_http_stack(self):
+        """Importing ``pipeline`` and ``cli`` and running a mock sweep and a
+        mock ``run_pipeline`` load no HTTP client or server; ``wire.requests``
+        still resolves, for the benchmark tracer."""
+        src = str(pathlib.Path(wire.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        transport = ["requests", "urllib3", "charset_normalizer", "ssl",
+                     "http.client", "http.server"]
+        done = subprocess.run([sys.executable, "-c", _MOCK_RUN, *transport],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == []
+
+    def test_other_missing_names_still_raise(self):
+        with pytest.raises(AttributeError, match="no attribute 'session'"):
+            wire.session  # noqa: B018
 
 
 class TestServerLifecycle:
@@ -724,7 +763,7 @@ _BODIES = st.binary(max_size=100) | st.sampled_from([
 _RAW_REQUESTS = st.builds(
     lambda line, headers, lengths, body: "".join(
         f"{h}\r\n" for h in [line, *headers, *(f"Content-Length: {v}" for v in lengths)]
-    ).encode() + b"\r\n" + body,
+    ).encode("utf-8", "surrogatepass") + b"\r\n" + body,  # lone surrogates too
     _REQUEST_LINES, st.lists(_HEADER_LINES, max_size=4),
     st.lists(_LENGTHS, max_size=2), _BODIES)
 
@@ -737,6 +776,8 @@ class TestRawRequests:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(request=_RAW_REQUESTS)
     @example(request=body_head(str(10 ** 20)))
+    @example(request="POST /embed HTTP/1.1\r\nX: \ud800\r\n\r\n".encode(
+        "utf-8", "surrogatepass"))
     def test_reply_or_none_and_no_traceback(self, server, capfd, request):
         with socket.create_connection(server.server_address[:2], timeout=2) as sock:
             try:
