@@ -447,7 +447,10 @@ def save_model(model: CganModel, path) -> None:
 def load_model(path) -> CganModel:
     """Read a CGE1 file: the layer shapes of both networks fix the body's
     length, which is checked once, then every weight for finiteness, and the
-    body is split into the layers' arrays in one pass."""
+    body is split into the layers' arrays in one pass. The generator then
+    runs once on a zero condition, so a file whose generator cannot map a
+    (1, 4, rows, cols) batch to (1, 2, rows, cols) is refused here, not at
+    its first estimate."""
     header, body = fileio.read_framed(path, _CGE_MAGIC, _CGE_VERSION, "CGE model")
     try:
         rows, cols = int(header["rows"]), int(header["cols"])
@@ -477,6 +480,10 @@ def load_model(path) -> CganModel:
         gen, disc = (nn.Sequential([nn.LayerParams(
             spec["kind"], next(arrays), next(arrays), spec["stride"], spec["padding"],
             spec["activation"], spec["slope"]) for spec in net]) for net in nets)
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        # inference runs only the generator, on (N, 4, rows, cols) batches
+        out = gen.forward(np.zeros((1, CONDITION_CHANNELS, rows, cols), np.float32))
+        if out.shape != (1, GAIN_CHANNELS, rows, cols):
+            raise ValueError(f"the generator maps a {rows}x{cols} grid to {out.shape}")
+    except (ValueError, KeyError, TypeError, OverflowError, ShapeError) as exc:
         raise FormatError(f"{path}: malformed CGE model header ({exc})") from exc
     return CganModel(gen, disc, rows, cols, hyper, history)

@@ -48,7 +48,6 @@ import socketserver
 import threading
 from email.utils import formatdate
 from http import HTTPStatus
-from http.server import ThreadingHTTPServer
 
 from . import lkb, mma, semeval
 from .errors import CaptionParseError
@@ -231,12 +230,17 @@ class _Handler(socketserver.StreamRequestHandler):
         self._send(status, reply)
 
 
-class MockServer(ThreadingHTTPServer):
-    """Threaded HTTP server for wire-contract tests and `mock-serve`.
+class MockServer(socketserver.ThreadingTCPServer):
+    """Threaded HTTP server for wire-contract tests and `mock-serve`: a TCP
+    server with a thread per connection, each running ``_Handler``'s own
+    request loop.
 
     It keeps its open connections, so that stopping it ends the kept-alive
     ones too instead of leaving their threads answering.
     """
+
+    daemon_threads = True
+    allow_reuse_address = True
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
         # set first: a failed bind calls server_close from inside __init__

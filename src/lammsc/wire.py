@@ -9,26 +9,43 @@ not followed). A reply body is decoded once, by ``fileio.json_object``.
 Each thread keeps one keep-alive ``http.client`` connection per (scheme,
 host), shared by every ``Endpoint`` it calls, so a run opens one connection
 per server and thread, not one per call; at most ``MAX_HOSTS`` stay open per
-thread, and they close when the thread ends. The proxy, CA bundle and netrc
-credentials are read from the environment as ``requests`` reads them, once
-when a connection opens: a variable changed mid-run applies to new
-connections only. ``requests`` is used for nothing else.
+thread, and they close when the thread ends. The proxy, CA bundle and
+credentials are read from the environment once, when a connection opens, so
+a variable changed mid-run applies to new connections only:
 
-The transport (``http.client``, ``ssl`` and ``requests``) loads on a run's
-first connection, not at import, so a run on mock backends never loads it.
-``wire.requests`` resolves lazily, through the module ``__getattr__``, only
-because ``perfbench``'s tracer patches ``wire.requests.post``; ROADMAP items
-2 and 3 (the tracer repair, then dropping ``requests``) remove it.
+- the proxy is ``urllib.request.getproxies()``'s entry for the scheme, else
+  ``all`` (``http://`` is put before one given without a scheme), unless
+  ``urllib.request.proxy_bypass`` exempts the host (a name with its port,
+  as the URL writes them); a ``NO_PROXY`` entry that is a network, such as
+  ``127.0.0.0/8``, also exempts an IPv4-literal host in it;
+- the CA bundle is ``REQUESTS_CA_BUNDLE``, else ``CURL_CA_BUNDLE`` (a
+  directory is read as a CA path), else OpenSSL's default store, which
+  ``SSL_CERT_FILE`` and ``SSL_CERT_DIR`` can name;
+- ``Authorization`` comes from netrc (``$NETRC``, else ``~/.netrc``, else
+  ``~/_netrc``: the host's login, else its account, and password), else
+  from the URL's user and password, percent-decoded and only when both are
+  given; a proxy URL's user and password give ``Proxy-Authorization`` by
+  the same rule.
+
+These are the rules ``requests`` applied, except two: the CA default was
+its bundled one, and ``NO_PROXY`` named an IPv6-literal host without its
+brackets. The transport (``http.client`` and ``ssl``) loads on a
+run's first connection, not at import, so a run on mock backends never
+loads it. The runtime needs numpy alone. ``wire.requests`` resolves lazily,
+through the module ``__getattr__``, only because ``perfbench``'s tracer
+patches ``wire.requests.post``; it needs ``requests`` from the ``test``
+extra, and goes with ROADMAP item 3 once the tracer is repaired (item 2).
 """
 
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
 import os
 import threading
 from dataclasses import dataclass
-from urllib.parse import urlsplit
+from urllib.parse import unquote, urlsplit
 
 from .errors import ProtocolError, RemoteServiceError, TransportError
 from .fileio import json_object
@@ -47,7 +64,8 @@ _local = threading.local()
 
 def __getattr__(name: str):
     """``wire.requests``, imported on first use; for the benchmark tracer only
-    (PEP 562)."""
+    (PEP 562). ``requests`` is not a runtime dependency: it comes with the
+    ``test`` extra."""
     if name == "requests":
         import requests
         return requests
@@ -89,42 +107,78 @@ class _Route:
     headers: dict
 
 
+def _userinfo(parts) -> tuple[str, str]:
+    """A URL's percent-decoded user and password; ("", "") unless it has both."""
+    both = parts.username is not None and parts.password is not None
+    return (unquote(parts.username), unquote(parts.password)) if both else ("", "")
+
+
+def _netrc_auth(host: str) -> tuple[str, str] | None:
+    """The login (else the account) and password that netrc gives ``host``,
+    from ``$NETRC``, else from the first of ``~/.netrc`` and ``~/_netrc``
+    that exists. None when there is no entry or the file cannot be read or
+    parsed."""
+    import netrc
+
+    names = [os.environ["NETRC"]] if "NETRC" in os.environ else ["~/.netrc", "~/_netrc"]
+    path = next((p for p in map(os.path.expanduser, names) if os.path.exists(p)), None)
+    with contextlib.suppress(netrc.NetrcParseError, OSError):
+        entry = path and netrc.netrc(path).authenticators(host)
+        return (entry[0] or entry[1], entry[2]) if entry and any(entry) else None
+
+
+def _proxy(parts, hostport: str) -> str | None:
+    """The proxy the environment gives a URL: the one for its scheme, else
+    ``all``; None if there is none or ``NO_PROXY`` exempts the host. A name
+    is matched by the standard library's rule on ``hostport``, the host and
+    port as the URL writes them; an IPv4 literal by that rule on the host
+    alone, or by an entry that is a network holding it, such as
+    ``127.0.0.0/8``."""
+    import ipaddress
+    import urllib.request
+
+    proxies = urllib.request.getproxies()
+    proxy = proxies.get(parts.scheme) or proxies.get("all")
+    try:
+        ip = ipaddress.IPv4Address(parts.hostname)
+    except ValueError:
+        return None if urllib.request.proxy_bypass(hostport) else proxy
+    for entry in proxies.get("no", "").replace(" ", "").split(","):
+        with contextlib.suppress(ValueError):  # not a network
+            if ip in ipaddress.IPv4Network(entry, strict=False):
+                return None
+    return None if urllib.request.proxy_bypass(parts.hostname) else proxy
+
+
 def _open(url: str) -> _Route:
     """A new connection for ``url``'s scheme and host, with the proxy, CA
     bundle and credentials the environment gives it now."""
     import http.client
     import ssl
 
-    import requests
-
     parts = urlsplit(url)
     hostport = parts.netloc.rpartition("@")[2]
-    utils = requests.utils
     headers = {"Content-Type": "application/json",
                VERSION_HEADER: PROTOCOL_VERSION}
-    auth = utils.get_netrc_auth(url) or utils.get_auth_from_url(url)
+    auth = _netrc_auth(parts.hostname) or _userinfo(parts)
     if any(auth):
         headers["Authorization"] = _basic_auth(*auth)
-    proxy = utils.select_proxy(url, utils.get_environ_proxies(url))
     via, proxy_headers = hostport, {}
-    if proxy:
-        proxy = utils.prepend_scheme_if_needed(proxy, "http")
+    if proxy := _proxy(parts, hostport):
+        proxy = proxy if "://" in proxy else "http://" + proxy
         pparts = urlsplit(proxy)
         if pparts.scheme != "http" or not pparts.hostname:
             raise http.client.InvalidURL(f"unsupported proxy {proxy!r}")
         via = pparts.netloc.rpartition("@")[2]
-        user, password = utils.get_auth_from_url(proxy)
-        if user:
-            proxy_headers["Proxy-Authorization"] = _basic_auth(user, password)
+        if (proxy_auth := _userinfo(pparts))[0]:
+            proxy_headers["Proxy-Authorization"] = _basic_auth(*proxy_auth)
     if parts.scheme == "http":
         headers.update(proxy_headers)
         return _Route(http.client.HTTPConnection(via),
                       f"http://{hostport}" if proxy else "", headers)
-    ca = (os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
-          or requests.certs.where())
-    context = ssl.create_default_context(
-        **{"capath" if os.path.isdir(ca) else "cafile": ca})
-    conn = http.client.HTTPSConnection(via, context=context)
+    ca = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+    where = {"capath" if os.path.isdir(ca) else "cafile": ca} if ca else {}
+    conn = http.client.HTTPSConnection(via, context=ssl.create_default_context(**where))
     if proxy:
         conn.set_tunnel(hostport, headers=proxy_headers)
     return _Route(conn, "", headers)

@@ -2,7 +2,7 @@ import hashlib
 import sys
 import threading
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -383,6 +383,24 @@ class TestBlasPin:
         assert blas_threads() == 2
 
 
+def save_unrunnable(tmp_path, name: str) -> str:
+    """A 32x32 CGE1 file that frames and parses, but whose generator cannot
+    map a (1, 4, 32, 32) condition to (1, 2, 32, 32)."""
+    model = cge.untrained_model(32, 32, seed=3)
+    gen = model.generator.layers
+    narrow = replace(gen[0], weights=gen[0].weights[..., :3])
+    layers = {"discriminator-chain": model.discriminator.layers,
+              "non-square-kernel": [narrow, *gen[1:]],  # a (32, 4, 4, 3) kernel
+              "no-last-deconv": gen[:-1]}[name]
+    path = tmp_path / f"{name}.cge"
+    cge.save_model(replace(model, generator=nn.Sequential(layers)), path)
+    return str(path)
+
+
+UNRUNNABLE = pytest.mark.parametrize(
+    "name", ["discriminator-chain", "non-square-kernel", "no-last-deconv"])
+
+
 class TestPersistence:
     def make_model(self):
         return cge.train_cgan(small_dataset(64), cge.TrainConfig(epochs=1), seed=14)
@@ -481,12 +499,19 @@ class TestPersistence:
             cge.load_model(path)
         assert str(info.value).startswith(f"{path}: malformed CGE model header (")
 
+    @UNRUNNABLE
+    def test_generator_that_cannot_run_at_its_grid_rejected(self, tmp_path, name):
+        path = save_unrunnable(tmp_path, name)
+        with pytest.raises(FormatError) as info:
+            cge.load_model(path)
+        assert str(info.value).startswith(f"{path}: malformed CGE model header (")
+
 
 def tiny_model_bytes(tmp_path) -> bytes:
     """A CGE1 file of two one-layer networks, a few hundred bytes long."""
     rng = np.random.default_rng(0)
     model = cge.CganModel(
-        nn.Sequential([nn.conv_layer(1, 1, 2, 1, 0, "leaky_relu", rng=rng)]),
+        nn.Sequential([nn.conv_layer(4, 2, 1, 1, 0, "leaky_relu", rng=rng)]),
         nn.Sequential([nn.dense_layer(2, 1, "sigmoid", rng=rng)]),
         16, 16, cge.TrainConfig(), cge.TrainHistory([1.5], [57.25], [0.875]))
     path = tmp_path / "tiny.cge"

@@ -13,6 +13,7 @@ from lammsc import channel, cge, cli, corpus, fileio, pipeline
 from lammsc.errors import LamMscError
 from lammsc.mockserve import MockServer
 
+from test_cge import UNRUNNABLE, save_unrunnable
 from test_fileio import DECODE_FAULTS
 
 
@@ -584,6 +585,20 @@ class TestLoaderErrors:
         assert got == code
         assert stderr.startswith(prefix.format(tmp=tmp_path)), stderr
 
+    @UNRUNNABLE
+    @pytest.mark.parametrize("argv, work", [
+        (["eval-cge", "--count", "2", "--model"], (cge, "make_training_set")),
+        (["sweep", "--corpus", "{corpus}", "--estimators", "cge", "--model-path"],
+         (pipeline, "_run_message"))], ids=["eval-cge", "sweep"])
+    def test_generator_that_cannot_run_is_error_before_any_work(
+            self, capsys, tmp_path, monkeypatch, corpus_path, name, argv, work):
+        path = save_unrunnable(tmp_path, name)
+        monkeypatch.setattr(*work, None)  # would raise
+        code, stdout, stderr = run_cli(
+            capsys, *[a.format(corpus=corpus_path) for a in argv], path)
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith(f"error: {path}: malformed CGE model header ("), \
+            stderr
 
     def test_eval_cge_layer_rule_is_error(self, capsys, tmp_path):
         # a float stride broke eval-cge as 'unexpected error' before the layer rule

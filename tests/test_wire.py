@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.request
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -324,6 +325,23 @@ def clean_env(monkeypatch):
     return monkeypatch
 
 
+@pytest.fixture()
+def direct(recorder, server, clean_env):
+    """The host of each connection opened other than to ``recorder``; each
+    one goes to ``server`` whatever its address, so no name is looked up."""
+    hosts = []
+    create = socket.create_connection
+
+    def redirect(address, *args, **kwargs):
+        if address[:2] == recorder.sock.getsockname()[:2]:
+            return create(address, *args, **kwargs)
+        hosts.append(f"{address[0]}:{address[1]}")
+        return create(server.server_address[:2], *args, **kwargs)
+
+    clean_env.setattr(socket, "create_connection", redirect)
+    return hosts
+
+
 def on_new_thread(fn, *args):
     """Run ``fn`` on a thread of its own, so it opens its own connections."""
     with ThreadPoolExecutor(1) as pool:
@@ -389,15 +407,85 @@ class TestTransport:
                              body) == {"text": "direct"}
         assert recorder.requests == []
 
+    @pytest.mark.parametrize("no_proxy, url, bypassed", [
+        ("127.0.0.0/8", "http://127.0.0.1:8080", True),
+        (".example.com", "http://a.example.com:8080", True),
+        ("h:8080", "http://h:8080", True),
+        ("*", "http://h:8080", True),
+        ("10.0.0.0/8", "http://127.0.0.1:8080", False),
+        ("b.example.com, h:9090", "http://a.example.com:8080", False)],
+        ids=["cidr", "domain", "host-and-port", "star", "other-cidr", "other-hosts"])
+    def test_no_proxy_entry(self, recorder, direct, clean_env, no_proxy, url,
+                            bypassed):
+        clean_env.setenv("HTTP_PROXY", recorder.url)
+        clean_env.setenv("NO_PROXY", no_proxy)
+        reply = on_new_thread(post_json, Endpoint(url), "/personalize",
+                              {"prompt": "task\nText:\ndirect"})
+        if bypassed:
+            assert reply == {"text": "direct"}
+            assert (direct, recorder.requests) == ([url.split("/")[2]], [])
+        else:
+            assert reply == {"text": "recorded"}
+            assert direct == [] and len(recorder.requests) == 1
+
+    @pytest.mark.parametrize("name, proxy", [("HTTP_PROXY", "{}"),
+                                             ("ALL_PROXY", "http://{}")],
+                             ids=["no-scheme", "all-proxy"])
+    def test_proxy_from_the_environment(self, recorder, clean_env, name, proxy):
+        clean_env.setenv(name, proxy.format(recorder.url.removeprefix("http://")))
+        reply = on_new_thread(post_json, Endpoint("http://lammsc.invalid:8080"),
+                              "/embed", {"text": "hi"})
+        assert reply == {"text": "recorded"}
+        (raw,) = recorder.requests
+        assert raw.startswith(b"POST http://lammsc.invalid:8080/embed HTTP/1.1\r\n")
+
+    @pytest.mark.parametrize("netrc, url, want", [
+        ("machine 127.0.0.1 login u password p", "http://{}", b"u:p"),
+        ("machine 127.0.0.1 account a password p", "http://{}", b"a:p"),
+        ("machine 127.0.0.1 login u password p", "http://x:y@{}", b"u:p"),
+        ("default login d password p", "http://{}", b"d:p"),
+        ("machine other login u password p", "http://{}", None),
+        ("bogus 127.0.0.1", "http://x:y@{}", b"x:y"),
+        (None, "http://us%40er:p%3Ass@{}", b"us@er:p:ss"),
+        (None, "http://user:@{}", b"user:"),
+        (None, "http://user@{}", None)],
+        ids=["netrc-login", "netrc-account", "netrc-over-userinfo", "netrc-default",
+             "netrc-other-host", "netrc-unparsable", "userinfo-decoded",
+             "userinfo-empty-password", "userinfo-without-password"])
+    def test_authorization(self, recorder, clean_env, tmp_path, netrc, url, want):
+        path = tmp_path / "netrc"
+        if netrc is not None:
+            path.write_text(netrc + "\n")
+        clean_env.setenv("NETRC", str(path))  # a missing file gives no credentials
+        host = recorder.url.removeprefix("http://")
+        on_new_thread(post_json, Endpoint(url.format(host)), "/embed", {"text": "hi"})
+        (raw,) = recorder.requests
+        lines = raw.partition(b"\r\n\r\n")[0].split(b"\r\n")
+        assert [line for line in lines if line.startswith(b"Authorization:")] == (
+            [b"Authorization: Basic " + base64.b64encode(want)] if want else [])
+
+    @pytest.mark.parametrize("userinfo, want", [
+        ("us%40er:p%3Ass@", b"us@er:p:ss"), ("user@", None)],
+        ids=["decoded", "without-password"])
+    def test_proxy_authorization(self, recorder, clean_env, userinfo, want):
+        clean_env.setenv("HTTP_PROXY", recorder.url.replace("//", "//" + userinfo))
+        on_new_thread(post_json, Endpoint("http://lammsc.invalid:8080"), "/embed",
+                      {"text": "hi"})
+        (raw,) = recorder.requests
+        lines = raw.partition(b"\r\n\r\n")[0].split(b"\r\n")
+        assert [line for line in lines if line.startswith(b"Proxy-Authorization:")] \
+            == ([b"Proxy-Authorization: Basic " + base64.b64encode(want)]
+                if want else [])
+
     def test_environment_read_once_per_connection(self, server, clean_env):
         scans = []
-        should_bypass = requests.utils.should_bypass_proxies
+        getproxies = urllib.request.getproxies
 
-        def counting(*args, **kwargs):
-            scans.append(args[0])
-            return should_bypass(*args, **kwargs)
+        def counting():
+            scans.append(1)
+            return getproxies()
 
-        clean_env.setattr(requests.utils, "should_bypass_proxies", counting)
+        clean_env.setattr(urllib.request, "getproxies", counting)
 
         def ten_posts():
             for i in range(10):
@@ -426,8 +514,7 @@ class TestTransport:
         with pytest.raises(TransportError):  # nothing listens on port 1
             on_new_thread(post_json, Endpoint("https://127.0.0.1:1", retries=0),
                           "/embed", {"text": "hi"})
-        assert seen == [{"cafile": str(tmp_path / want) if want
-                         else requests.certs.where()}]
+        assert seen == [{"cafile": str(tmp_path / want)} if want else {}]
 
     def test_connections_close_when_their_thread_ends(self, server):
         with warnings.catch_warnings(record=True) as caught:
@@ -513,6 +600,42 @@ class TestLazyTransport:
     def test_other_missing_names_still_raise(self):
         with pytest.raises(AttributeError, match="no attribute 'session'"):
             wire.session  # noqa: B018
+
+
+_REMOTE_RUN_WITHOUT_REQUESTS = """
+import sys
+sys.modules["requests"] = None  # any import of requests now fails
+from dataclasses import replace
+from lammsc import corpus, pipeline
+from lammsc.mockserve import MockServer
+scene = corpus.synthetic_corpus(1, seed=29)[0]
+with MockServer() as srv:
+    cfg = pipeline.PipelineConfig(
+        snr_db=[10.0], estimator="ls", mma_backend="remote", lkb_backend="remote",
+        embed_backend="remote", mma_endpoint=srv.url, lkb_endpoint=srv.url,
+        embed_endpoint=srv.url).validate()
+    profiles = pipeline.load_profiles(cfg)
+    rec = pipeline.run_pipeline(scene, cfg, *profiles, seed=5)
+mock = replace(cfg, mma_backend="mock", lkb_backend="mock", embed_backend="mock",
+               lkb_enabled=False)
+ref = pipeline.run_pipeline(scene, mock, *profiles, seed=5)
+fields = ("caption", "received_text", "recovered_text", "cosine", "error_stage")
+assert [getattr(rec, f) for f in fields] == [getattr(ref, f) for f in fields]
+assert rec.caption and rec.cosine is not None
+assert sys.modules["requests"] is None and "urllib3" not in sys.modules
+print("ok")
+"""
+
+
+def test_remote_run_needs_no_requests():
+    """An all-remote run against the mock server, in a process where
+    ``requests`` cannot be imported, gives the mock-backend record."""
+    src = str(pathlib.Path(wire.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _REMOTE_RUN_WITHOUT_REQUESTS],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "ok\n"), done.stderr
 
 
 class TestServerLifecycle:
