@@ -52,10 +52,8 @@ from http import HTTPStatus
 from . import lkb, mma, semeval
 from .errors import CaptionParseError
 from .fileio import json_object
-from .wire import PROTOCOL_VERSION, VERSION_HEADER
+from .wire import MAX_HEADERS, MAX_LINE, PROTOCOL_VERSION, VERSION_HEADER
 
-_MAX_LINE = 65536  # bytes in a request or header line, as http.server allows
-_MAX_HEADERS = 100  # header lines in a request, as http.server allows
 _MAX_BODY = 16 << 20  # bytes in a request body, far above any the program sends
 
 
@@ -141,9 +139,9 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def _line(self, what: str) -> bytes | None:
         """One CRLF- (or LF-) ended line, or None if the stream ends first."""
-        line = self.rfile.readline(_MAX_LINE + 1)
-        if len(line) > _MAX_LINE:
-            raise _BadRequest(f"{what} longer than {_MAX_LINE} bytes")
+        line = self.rfile.readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            raise _BadRequest(f"{what} longer than {MAX_LINE} bytes")
         return line if line.endswith(b"\n") else None
 
     def _read_head(self) -> bool:
@@ -164,8 +162,8 @@ class _Handler(socketserver.StreamRequestHandler):
         while (line := self._line("header line")) not in (b"\r\n", b"\n"):
             if line is None:
                 return False
-            if len(headers) == _MAX_HEADERS:
-                raise _BadRequest(f"more than {_MAX_HEADERS} header lines")
+            if len(headers) == MAX_HEADERS:
+                raise _BadRequest(f"more than {MAX_HEADERS} header lines")
             name, colon, value = line.partition(b":")
             if not colon or name.split() != [name]:  # RFC 9112 5.1
                 raise _BadRequest(f"malformed header line {line[:80]!r}")

@@ -303,6 +303,8 @@ class TestSetupErrors:
         (["train-cge", "--out", "{tmp}/m.cge", "--data-seed=-1"], "--data-seed"),
         (["run", "--text", "a boy", "--lkb-backend", "remote", "--lkb-endpoint",
           "localhost:8099"], "lkb backend 'remote': endpoint must be"),
+        (["run", "--text", "a boy", "--mma-backend", "remote", "--mma-endpoint",
+          "http://127.0.0.1:abc"], "mma backend 'remote': endpoint 'http://127.0.0.1:abc'"),
         (["run", "--text", "a boy and a girl", "--embed-backend", "remote",
           "--embed-endpoint", "http://127.0.0.1:9", "--timeout-ms", "10000000000000"],
          "timeout_ms must lie in"),
@@ -312,7 +314,7 @@ class TestSetupErrors:
             "gen-nan-sigma", "gen-small-grid", "gen-zero-count",
             "run-snr-overflows-noise", "sweep-snr-overflows-grid",
             "sweep-snrs-share-a-key", "train-negative-seed",
-            "train-negative-data-seed", "run-endpoint-not-a-url",
+            "train-negative-data-seed", "run-endpoint-not-a-url", "run-endpoint-bad-port",
             "run-timeout-over-socket-bound"])
     def test_config_error(self, capsys, tmp_path, monkeypatch, tiny_model_path,
                           channels16_path, corpus_path, argv, message):

@@ -1,10 +1,14 @@
 import base64
+import contextlib
 import gc
 import http.client
+import itertools
 import json
 import os
 import pathlib
+import select
 import socket
+import socketserver
 import ssl
 import statistics
 import struct
@@ -133,7 +137,7 @@ class TestTransformContract:
             calls.append(1)
             raise ConnectionRefusedError("refused")
 
-        monkeypatch.setattr(http.client.HTTPConnection, "connect", refuse)
+        monkeypatch.setattr(socket, "create_connection", refuse)
         ep = Endpoint("http://127.0.0.1:1", timeout_ms=100, retries=2)
         with pytest.raises(TransportError, match="3 attempts"):
             mma.transform_remote(GARDEN_CAPTION, "image", ep)
@@ -250,6 +254,29 @@ class TestKeepAlive:
         finally:
             server.shutdown()
             server.server_close()
+
+    def test_interrupted_call_closes_its_connection(self, monkeypatch):
+        """An exception other than a socket error that stops a call mid-reply
+        closes the call's connection: the next call opens a new one."""
+        readers = []
+        reply = wire._reply
+
+        def interrupted(rfile):
+            readers.append(rfile)
+            monkeypatch.setattr(wire, "_reply", reply)
+            raise KeyboardInterrupt
+
+        def calls(ep):
+            with pytest.raises(KeyboardInterrupt):
+                post_json(ep, "/embed", {"text": "first"})
+            return post_json(ep, "/personalize", {"prompt": "task\nText:\nhi"})
+
+        monkeypatch.setattr(wire, "_reply", interrupted)
+        with MockServer() as srv:
+            accepted = counting_accepts(srv)
+            assert on_new_thread(calls, Endpoint(srv.url)) == {"text": "hi"}
+        assert [r.closed for r in readers] == [True]
+        assert len(accepted) == 2
 
     def test_sequential_calls_do_not_stall(self):
         # with Nagle on, each kept-alive round trip waits for a delayed ACK
@@ -378,6 +405,41 @@ class TestTransport:
         assert body == b'{"text": "caf\\u00e9 \\u2603", "n": [1, 2.5]}'
         assert headers["Content-Length"] == str(len(body))
 
+    @pytest.mark.parametrize("proxy, netrc, url, want", [
+        (None, None, "http://us%40er:pw@{host}", [
+            "POST /embed HTTP/1.1", "Host: {host}", "Accept-Encoding: identity",
+            "Content-Length: 14", "Content-Type: application/json",
+            f"{VERSION_HEADER}: {PROTOCOL_VERSION}",
+            "Authorization: Basic dXNAZXI6cHc="]),
+        ("http://pu:pp@{host}", None, "http://us:pw@lammsc.invalid:8080", [
+            "POST http://lammsc.invalid:8080/embed HTTP/1.1",
+            "Host: lammsc.invalid:8080", "Accept-Encoding: identity",
+            "Content-Length: 14", "Content-Type: application/json",
+            f"{VERSION_HEADER}: {PROTOCOL_VERSION}", "Authorization: Basic dXM6cHc=",
+            "Proxy-Authorization: Basic cHU6cHA="]),
+        (None, "machine 127.0.0.1 login n password q", "http://{host}", [
+            "POST /embed HTTP/1.1", "Host: {host}", "Accept-Encoding: identity",
+            "Content-Length: 14", "Content-Type: application/json",
+            f"{VERSION_HEADER}: {PROTOCOL_VERSION}", "Authorization: Basic bjpx"])],
+        ids=["url-credentials", "proxy-credentials", "netrc"])
+    def test_request_head_pinned(self, recorder, clean_env, tmp_path, proxy, netrc,
+                                 url, want):
+        """Every line of the request head, in order."""
+        host = recorder.url.removeprefix("http://")
+        path = tmp_path / "netrc"  # a missing file gives no credentials
+        if netrc is not None:
+            path.write_text(netrc + "\n")
+        clean_env.setenv("NETRC", str(path))
+        if proxy is not None:
+            clean_env.setenv("HTTP_PROXY", proxy.format(host=host))
+        on_new_thread(post_json, Endpoint(url.format(host=host)), "/embed",
+                      {"text": "hi"})
+        (raw,) = recorder.requests
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.decode("latin1").split("\r\n") == [
+            line.format(host=host) for line in want]
+        assert body == b'{"text": "hi"}'
+
     def test_http_proxy_gets_the_absolute_url(self, recorder, clean_env):
         host = recorder.url.removeprefix("http://")
         clean_env.setenv("HTTP_PROXY", f"http://user:pw@{host}")
@@ -398,6 +460,15 @@ class TestTransport:
             on_new_thread(post_json, ep, "/embed", {"text": "hi"})
         (raw,) = recorder.requests
         assert raw.startswith(b"CONNECT lammsc.invalid:8443 HTTP/1.")
+
+    @pytest.mark.parametrize("proxy", ["socks5://127.0.0.1:1080",
+                                       "http://127.0.0.1:99999"],
+                             ids=["socks", "port-out-of-range"])
+    def test_unusable_proxy_is_transport_error(self, clean_env, proxy):
+        clean_env.setenv("HTTP_PROXY", proxy)
+        ep = Endpoint("http://lammsc.invalid:8080", retries=0)
+        with pytest.raises(TransportError, match="unsupported proxy"):
+            on_new_thread(post_json, ep, "/embed", {"text": "hi"})
 
     def test_no_proxy_bypasses_the_proxy(self, recorder, server, clean_env):
         clean_env.setenv("HTTP_PROXY", recorder.url)
@@ -540,7 +611,213 @@ class TestTransport:
         assert len(accepted) == len(hosts) + 1
 
 
+class _ScriptedHandler(socketserver.StreamRequestHandler):
+    """Reads each request, head and Content-Length body, and answers it with
+    the server's next scripted reply."""
+
+    def handle(self):
+        while True:
+            head = []
+            while (line := self.rfile.readline()) not in (b"\r\n", b""):
+                head.append(line.lower())
+            if not line:
+                return  # the client closed the connection
+            self.rfile.read(next((int(h.split(b":")[1]) for h in head
+                                  if h.startswith(b"content-length:")), 0))
+            data, close = next(self.server.replies)
+            self.wfile.write(data)
+            if close:
+                return
+
+
+class _Scripted(socketserver.ThreadingTCPServer):
+    """A raw-socket server whose replies are ``(bytes, close)`` pairs: each
+    request gets the next pair's bytes, and the connection then closes if
+    ``close`` is true."""
+
+    daemon_threads = True
+
+    def __init__(self, replies):
+        self.replies = iter(replies)
+        super().__init__(("127.0.0.1", 0), _ScriptedHandler)
+
+
+@contextlib.contextmanager
+def scripted(replies):
+    srv = _Scripted(replies)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=5)
+
+
+FRAMED = b'{"text": "framed"}'
+
+
+def sized(head: bytes, body: bytes = FRAMED) -> bytes:
+    """A 200 reply with ``head``'s extra lines and a Content-Length body."""
+    return (b"HTTP/1.1 200 OK\r\n%bContent-Length: %d\r\n\r\n%b"
+            % (head, len(body), body))
+
+
+def posts(srv, count: int, retries: int = 0) -> list:
+    """``count`` posts to ``srv`` from a thread of their own."""
+    ep = Endpoint(f"http://127.0.0.1:{srv.server_address[1]}", timeout_ms=2000,
+                  retries=retries)
+    return on_new_thread(lambda: [post_json(ep, "/embed", {"text": "x"})
+                                  for _ in range(count)])
+
+
+class TestReplyFraming:
+    """The client's reply reader at the edges of RFC 9112."""
+
+    def test_chunked_with_an_extension_and_a_trailer(self):
+        data = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"4;name=value\r\n" + FRAMED[:4] + b"\r\n"
+                + b"%x\r\n" % (len(FRAMED) - 4) + FRAMED[4:] + b"\r\n"
+                b"0\r\nX-Trailer: t\r\n\r\n")
+        with scripted([(data, False)] * 2) as srv:
+            accepted = counting_accepts(srv)
+            assert posts(srv, 2) == [{"text": "framed"}] * 2
+        assert len(accepted) == 1  # the connection stayed framed
+
+    def test_close_delimited_body(self):
+        data = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n" + FRAMED
+        with scripted([(data, True)] * 2) as srv:
+            accepted = counting_accepts(srv)
+            assert posts(srv, 2) == [{"text": "framed"}] * 2
+        assert len(accepted) == 2
+
+    def test_interim_replies_skipped(self):
+        data = (b"HTTP/1.1 100 Continue\r\n\r\n"
+                b"HTTP/1.1 103 Early Hints\r\nLink: </a>; rel=preload\r\n\r\n"
+                + sized(b""))
+        with scripted([(data, False)] * 2) as srv:
+            accepted = counting_accepts(srv)
+            assert posts(srv, 2) == [{"text": "framed"}] * 2
+        assert len(accepted) == 1
+
+    @pytest.mark.parametrize("version, head, connections", [
+        (b"HTTP/1.0", b"", 2), (b"HTTP/1.1", b"Connection: close\r\n", 2),
+        (b"HTTP/1.0", b"Connection: keep-alive\r\n", 1)],
+        ids=["http-1.0", "connection-close", "http-1.0-keep-alive"])
+    def test_reply_that_closes_opens_a_new_connection(self, version, head,
+                                                      connections):
+        # the server keeps every connection open: the client closes it
+        data = sized(head).replace(b"HTTP/1.1", version, 1)
+        with scripted([(data, False)] * 2) as srv:
+            accepted = counting_accepts(srv)
+            assert posts(srv, 2) == [{"text": "framed"}] * 2
+        assert len(accepted) == connections
+
+    def test_limits_are_inclusive(self):
+        # a 65536-byte header line, and 100 header lines with Content-Length
+        long_line = b"X-Long: " + b"a" * (65536 - len(b"X-Long: \r\n")) + b"\r\n"
+        head = long_line + b"".join(b"X-H%d: v\r\n" % i for i in range(98))
+        with scripted([(sized(head), False)]) as srv:
+            assert posts(srv, 1) == [{"text": "framed"}]
+
+    @pytest.mark.parametrize("data", [
+        sized(b"X-Long: " + b"a" * 65536 + b"\r\n"),
+        sized(b"".join(b"X-H%d: v\r\n" % i for i in range(100))),
+        sized(b"", FRAMED)[:-4],
+        b"HTTP/1.1 200 OK\r\nContent-Length: 18\r\n",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n12\r\n" + FRAMED[:9],
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 18, 19\r\n\r\n" + FRAMED,
+        b"HTTP/1.1 200 OK\r\nContent-Length: -18\r\n\r\n" + FRAMED,
+        b"HTTP/1.1 2000 OK\r\n\r\n", b"ICY 200 OK\r\n\r\n", b""],
+        ids=["long-header-line", "101-header-lines", "body-cut-short",
+             "head-cut-short", "chunk-cut-short", "bad-chunk-size",
+             "conflicting-lengths", "negative-length", "bad-status-code",
+             "not-http", "no-reply"])
+    def test_bad_reply_is_transport_error(self, data):
+        with scripted(itertools.repeat((data, True))) as srv:
+            accepted = counting_accepts(srv)
+            with pytest.raises(TransportError, match="after 2 attempts"):
+                posts(srv, 1, retries=1)
+        assert len(accepted) == 2
+
+
+TLS_PEM = pathlib.Path(__file__).with_name("localhost.pem")  # self-signed, with its key
+
+
+class _TLSMockServer(MockServer):
+    """The mock server behind TLS, with the certificate of ``TLS_PEM``."""
+
+    def finish_request(self, request, client_address):
+        context = ssl.create_default_context(ssl.Purpose.CLIENT_AUTH)
+        context.load_cert_chain(TLS_PEM)
+        with context.wrap_socket(request, server_side=True) as tls:
+            super().finish_request(tls, client_address)
+
+
+class _TunnelHandler(socketserver.StreamRequestHandler):
+    """An HTTP proxy that answers CONNECT host:port with 200 and then relays
+    bytes both ways to that port on 127.0.0.1."""
+
+    def handle(self):
+        head = b""
+        while (line := self.rfile.readline()) not in (b"\r\n", b""):
+            head += line
+        self.server.heads.append(head)
+        port = int(head.split()[1].rpartition(b":")[2])
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as upstream:
+            self.wfile.write(b"HTTP/1.0 200 Connection established\r\n\r\n")
+            ends = {self.connection: upstream, upstream: self.connection}
+            while (ready := select.select(list(ends), [], [], 5)[0]):
+                for sock in ready:
+                    if not (data := sock.recv(65536)):
+                        return
+                    ends[sock].sendall(data)
+
+
+class TestTLS:
+    def test_https_direct_and_through_a_tunnel(self, clean_env):
+        clean_env.setenv("REQUESTS_CA_BUNDLE", str(TLS_PEM))
+        tunnel = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _TunnelHandler)
+        tunnel.daemon_threads, tunnel.heads = True, []
+        threading.Thread(target=tunnel.serve_forever, daemon=True).start()
+
+        def calls(ep):
+            return [post_json(ep, "/personalize", {"prompt": f"task\nText:\n{i}"})
+                    for i in range(3)]
+
+        try:
+            with _TLSMockServer() as srv:
+                accepted = counting_accepts(srv)
+                ep = Endpoint(f"https://localhost:{srv.server_address[1]}")
+                direct = on_new_thread(calls, ep)
+                clean_env.setenv("HTTPS_PROXY", "http://pu:pp@127.0.0.1:%d"
+                                 % tunnel.server_address[1])
+                tunnelled = on_new_thread(calls, ep)
+        finally:
+            tunnel.shutdown()
+            tunnel.server_close()
+        assert direct == tunnelled == [{"text": str(i)} for i in range(3)]
+        assert len(accepted) == 2  # one kept-alive connection per thread
+        assert tunnel.heads == [b"CONNECT localhost:%d HTTP/1.0\r\n"
+                                b"Proxy-Authorization: Basic cHU6cHA=\r\n"
+                                % srv.server_address[1]]
+
+
 class TestEndpoint:
+    @pytest.mark.parametrize("url", ["http://127.0.0.1:abc", "http://h:-1",
+                                     "http://h:70000"])
+    def test_bad_port_rejected(self, url):
+        with pytest.raises(ValueError, match="[Pp]ort"):
+            Endpoint(url)
+
+    @pytest.mark.parametrize("url", ["http://h/a b", "http://h/\x00", "http://h/\x7f",
+                                     "http://h:80/x\x0b"])
+    def test_space_or_control_character_rejected(self, url):
+        with pytest.raises(ValueError, match="space or control character"):
+            Endpoint(url)
+
     @pytest.mark.parametrize("url", ["localhost:8099", "ftp://x", "http://",
                                      "https://:8443", "//127.0.0.1:1", ""])
     def test_not_an_http_url_with_a_host_rejected(self, url):
@@ -948,7 +1225,7 @@ class TestPersonalizeContract:
         def slow(*args, **kwargs):
             raise TimeoutError("too slow")
 
-        monkeypatch.setattr(http.client.HTTPConnection, "connect", slow)
+        monkeypatch.setattr(socket, "create_connection", slow)
         profile = lkb.default_prompt_base().get("Mike")
         with pytest.raises(TransportError):
             lkb.personalize_remote("hello", profile, "extract",
@@ -1110,6 +1387,20 @@ class TestRemoteModeEquivalence:
                                              lkb_backend="remote",
                                              lkb_endpoint=server.url)
         assert self.run_all(mock_cfg) == self.run_all(remote_cfg)
+
+    def test_remote_run_makes_no_http_client_connection(self, server, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("an http.client connection was made")
+
+        monkeypatch.setattr(http.client.HTTPConnection, "__init__", refuse)
+        mock_cfg = pipeline.PipelineConfig(snr_db=[10.0], estimator="ls",
+                                           lkb_enabled=False)
+        remote_cfg = pipeline.PipelineConfig(
+            snr_db=[10.0], estimator="ls", mma_backend="remote",
+            mma_endpoint=server.url, lkb_backend="remote", lkb_endpoint=server.url,
+            embed_backend="remote", embed_endpoint=server.url)
+        # a thread of its own, so no connection opened earlier is reused
+        assert self.run_all(mock_cfg) == on_new_thread(self.run_all, remote_cfg)
 
 
 def _b64(blob: bytes) -> str:
